@@ -5,12 +5,21 @@ A quotient h : A -> B is Gamma-equivariant when every symmetry with gamma in
 Gamma also fixes h, i.e. h = alpha^-1 then h then beta.  Equivalently the
 graph of h is invariant under (a, b) -> (alpha(a), beta(b)), which turns the
 existence question into a perfect-matching search over orbits of A x B.
+
+The symmetries with gamma in Gamma form a group.  :func:`stabilizer` finds
+it with one propagation search in which alpha, beta and gamma are all
+search variables, and keeps it as a base and strong generating set: the
+base is the sequence of points the search branches on along the identity
+path, and each level needs one coset representative per point of its basic
+orbit.  The sorted triple list is built from those representatives; the
+orbits on A x B come from the generators alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import prod
+from typing import Callable, Iterable, Sequence
 
 from .bijection import ProdBij
 from .errors import BudgetExceeded, FormatError
@@ -78,98 +87,250 @@ def _identityish(p: Perm | None) -> bool:
 
 
 # -- stabilizer search --------------------------------------------------------
+#
+# A triple acts on the N = 2nA + nC points A ⊔ B ⊔ C: alpha on 0..nA-1, beta
+# on nA..2nA-1 and gamma on 2nA..N-1.  A symmetry is therefore one
+# permutation of N points, held as an image tuple while the group is built.
 
 
-def _pairs_for_gamma(
-    f: ProdBij, finv: ProdBij, gamma: Perm, budget: Budget
-) -> list[tuple[Perm, Perm]]:
-    """All (alpha, beta) making (alpha, beta, gamma) a symmetry of f.
+class Symmetries(list):
+    """Symmetry triples in sorted order, with the strong generators they came from."""
 
-    Backtracks over beta; each assignment beta(b) = b2 forces alpha values
-    through the table (and vice versa), so contradictions surface after a
-    handful of propagations rather than after |B|! candidates.
+    def __init__(self, triples: Iterable[SymTriple], generators: Iterable[SymTriple]) -> None:
+        super().__init__(triples)
+        self.generators = tuple(generators)
+
+
+def _symmetry_chain(
+    f: ProdBij, group: PermGroup, budget: Budget
+) -> tuple[list[dict[int, tuple[int, ...]]], list[tuple[int, ...]]]:
+    """Transversals along a base, and strong generators, of the symmetry group.
+
+    One propagation search assigns alpha, beta and gamma values together.
+    Once alpha(a) and gamma(c) are known, f(a, c) = (b, c') forces beta(b)
+    and gamma(c'); once beta(b) and gamma(c') are known, f^-1 forces alpha
+    and gamma the same way.  A point may only go to a point with the same
+    invariant label.  Gamma values must extend to an element of Gamma: any
+    unused point for the symmetric group, else only the images that some
+    listed element allows.
+
+    The base is the sequence of points the search branches on along the
+    identity path.  Levels are searched from the deepest up; at each, one
+    coset representative is sought per candidate image that the generators
+    found so far do not already reach.  A level's transversal maps each
+    point of its basic orbit to an element taking the base point there.
     """
     n_a, n_c = f.n_a, f.n_c
-    g = gamma.images
-    if n_a == 0:
-        return [(Perm(()), Perm(()))]
-    occ: list[list[tuple[int, int, int]]] = [[] for _ in range(n_a)]
-    for c in range(n_c):
-        for a in range(n_a):
-            b, c2 = f.entries[c][a]
-            occ[b].append((a, c, c2))
-    solutions: list[tuple[Perm, Perm]] = []
+    g0 = 2 * n_a
+    n = g0 + n_c
+    fwd = [[(n_a + b, g0 + c2) for b, c2 in row] for row in f.entries]
+    bwd = [[(0, 0)] * n_a for _ in range(n_c)]
+    for c, row in enumerate(f.entries):
+        for a, (b, c2) in enumerate(row):
+            bwd[c2][b] = (a, g0 + c)
+    label = _point_labels(f)
+    allowed = None if group.is_symmetric() else [g.images for g in group.elements()]
 
-    def propagate(alpha, ainv, beta, binv, queue) -> bool:
-        def assign(arr, inv, x, y, kind) -> bool:
-            if arr[x] != -1:
-                return arr[x] == y
-            if inv[y] != -1:
-                return False
-            arr[x] = y
-            inv[y] = x
-            queue.append((kind, x))
-            return True
-
+    def extend(node, p: int, q: int):
+        """A copy of node with p -> q and all it forces, or None on a contradiction."""
+        img, pre, els = node[0][:], node[1][:], node[2]
+        queue = [(p, q)]
         while queue:
-            kind, x = queue.pop()
-            if kind == "b":
-                b2 = beta[x]
-                for a, c, c2 in occ[x]:
-                    a2, c_src = finv.entries[g[c2]][b2]
-                    if c_src != g[c]:
-                        return False
-                    if not assign(alpha, ainv, a, a2, "a"):
-                        return False
-            else:
-                a2 = alpha[x]
+            x, y = queue.pop()
+            if img[x] == y:
+                continue
+            if img[x] >= 0 or pre[y] >= 0 or label[x] != label[y]:
+                return None
+            img[x] = y
+            pre[y] = x
+            if x < n_a:  # alpha(x) = y: fire the cells (x, c) with gamma(c) known
                 for c in range(n_c):
-                    b, c2 = f.entries[c][x]
-                    b2, c22 = f.entries[g[c]][a2]
-                    if c22 != g[c2]:
-                        return False
-                    if not assign(beta, binv, b, b2, "b"):
-                        return False
-        return True
+                    gc = img[g0 + c]
+                    if gc >= 0:
+                        (pb, pc), (qb, qc) = fwd[c][x], fwd[gc - g0][y]
+                        queue += ((pb, qb), (pc, qc))
+            elif x < g0:  # beta: fire the cells f^-1(b, c') with gamma(c') known
+                b, b2 = x - n_a, y - n_a
+                for c in range(n_c):
+                    gc = img[g0 + c]
+                    if gc >= 0:
+                        (pa, pc), (qa, qc) = bwd[c][b], bwd[gc - g0][b2]
+                        queue += ((pa, qa), (pc, qc))
+            else:  # gamma(c) = c2: fire both kinds of cell in row c
+                c, c2 = x - g0, y - g0
+                if els is not None:
+                    els = [g for g in els if g[c] == c2]
+                    if not els:
+                        return None
+                row, row2 = fwd[c], fwd[c2]
+                for a in range(n_a):
+                    if img[a] >= 0:
+                        (pb, pc), (qb, qc) = row[a], row2[img[a]]
+                        queue += ((pb, qb), (pc, qc))
+                row, row2 = bwd[c], bwd[c2]
+                for b in range(n_a):
+                    if img[n_a + b] >= 0:
+                        (pa, pc), (qa, qc) = row[b], row2[img[n_a + b] - n_a]
+                        queue += ((pa, qa), (pc, qc))
+        return img, pre, els
 
-    def backtrack(alpha, ainv, beta, binv) -> None:
-        try:
-            b = beta.index(-1)
-        except ValueError:
-            # beta complete forces alpha complete via propagation
-            solutions.append((Perm(tuple(alpha)), Perm(tuple(beta))))
-            return
-        for b2 in range(n_a):
-            if binv[b2] != -1:
+    def pick(img: list[int]) -> int | None:
+        """The next point to branch on: gamma and alpha in turn, beta last."""
+        alphas, gammas = img[:n_a], img[g0:]
+        free_a, free_c = alphas.count(-1), gammas.count(-1)
+        if free_c and (not free_a or n_c - free_c <= n_a - free_a):
+            return g0 + gammas.index(-1)
+        if free_a:
+            return alphas.index(-1)
+        betas = img[n_a:g0]
+        return n_a + betas.index(-1) if -1 in betas else None
+
+    def candidates(node, p: int) -> list[int]:
+        pre, els = node[1], node[2]
+        if p >= g0 and els is not None:
+            pool = sorted({g0 + g[p - g0] for g in els})
+        else:
+            pool = range(n_a) if p < n_a else range(n_a, g0) if p < g0 else range(g0, n)
+        return [y for y in pool if pre[y] < 0 and label[y] == label[p]]
+
+    def solve(node) -> tuple[int, ...] | None:
+        """The first complete symmetry below node, in search order."""
+        p = pick(node[0])
+        if p is None:
+            return tuple(node[0])
+        for q in candidates(node, p):
+            budget.tick()
+            child = extend(node, p, q)
+            if child is not None:
+                found = solve(child)
+                if found is not None:
+                    return found
+        return None
+
+    base: list[int] = []
+    path = []
+    node = ([-1] * n, [-1] * n, allowed)
+    while (p := pick(node[0])) is not None:
+        budget.tick()
+        base.append(p)
+        path.append(node)
+        node = extend(node, p, p)  # the identity is always a symmetry
+
+    gens: list[tuple[int, ...]] = []
+    levels = []
+    for p, node in zip(reversed(base), reversed(path)):
+        reps = _transversal(p, gens, n)
+        dead: set[int] = set()
+        for q in candidates(node, p):
+            if q in reps or q in dead:
                 continue
             budget.tick()
-            al, ai, be, bi = alpha[:], ainv[:], beta[:], binv[:]
-            queue: list[tuple[str, int]] = []
-            be[b] = b2
-            bi[b2] = b
-            queue.append(("b", b))
-            if propagate(al, ai, be, bi, queue):
-                backtrack(al, ai, be, bi)
+            child = extend(node, p, q)
+            g = None if child is None else solve(child)
+            if g is None:
+                # the generators lie in this level's group, whose orbit of p
+                # is a union of their orbits: none of q's orbit is reachable
+                dead.update(_transversal(q, gens, n))
+            else:
+                gens.append(g)
+                reps = _transversal(p, gens, n)
+        levels.append(reps)
+    return levels, gens
 
-    blank = [-1] * n_a
-    backtrack(blank[:], blank[:], blank[:], blank[:])
-    return solutions
+
+def _point_labels(f: ProdBij) -> list[int]:
+    """A label per point of A ⊔ B ⊔ C that every symmetry preserves.
+
+    Column a of f gives a map c -> c' on C, and a symmetry conjugates it by
+    gamma: its number of fixed points and its preimage sizes are kept.  The
+    same holds for f^-1 and B.  For C, row c of the count matrix
+    M[c][c'] = #{a : f(a, c) lies in B x {c'}} is permuted by gamma, and so
+    is its column.
+    """
+    n_a, n_c = f.n_a, f.n_c
+    col = [[0] * n_c for _ in range(n_a)]  # col[a][c] = c'
+    back = [[0] * n_c for _ in range(n_a)]  # back[b][c'] = c
+    m = [[0] * n_c for _ in range(n_c)]
+    for c, row in enumerate(f.entries):
+        for a, (b, c2) in enumerate(row):
+            col[a][c] = c2
+            back[b][c2] = c
+            m[c][c2] += 1
+
+    def shape(phi: list[int]) -> tuple:
+        sizes = [0] * n_c
+        for x in phi:
+            sizes[x] += 1
+        return sum(x == c for c, x in enumerate(phi)), tuple(sorted(sizes))
+
+    sigs = (
+        [("a", shape(phi)) for phi in col]
+        + [("b", shape(phi)) for phi in back]
+        + [
+            ("c", m[c][c], tuple(sorted(m[c])), tuple(sorted(r[c] for r in m)))
+            for c in range(n_c)
+        ]
+    )
+    ids: dict[tuple, int] = {}
+    return [ids.setdefault(s, len(ids)) for s in sigs]
+
+
+def _transversal(
+    p: int, gens: Sequence[tuple[int, ...]], n: int
+) -> dict[int, tuple[int, ...]]:
+    """For each point q in the orbit of p, a product of gens taking p to q."""
+    reps = {p: tuple(range(n))}
+    stack = [p]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in reps:
+                reps[g[x]] = tuple(map(g.__getitem__, reps[x]))
+                stack.append(g[x])
+    return reps
+
+
+def _splitter(n_a: int, n_c: int) -> Callable[[tuple[int, ...]], SymTriple]:
+    """Turns a permutation of the N points into its triple, sharing equal Perms."""
+    g0 = 2 * n_a
+    local = (*range(n_a), *range(n_a), *range(n_c)).__getitem__
+    perms: dict[tuple[int, ...], Perm] = {}
+
+    def perm(images: tuple[int, ...]) -> Perm:
+        p = perms.get(images)
+        if p is None:
+            p = perms[images] = Perm(images)
+        return p
+
+    def split(t: tuple[int, ...]) -> SymTriple:
+        return SymTriple(
+            perm(t[:n_a]), perm(tuple(map(local, t[n_a:g0]))), perm(tuple(map(local, t[g0:])))
+        )
+
+    return split
 
 
 def stabilizer(
     f: ProdBij, group: PermGroup, budget: Budget | None = None
-) -> list[SymTriple]:
-    """All symmetry triples of f with gamma ranging over the given group."""
+) -> Symmetries:
+    """All symmetry triples of f with gamma in the given group, sorted.
+
+    Each triple is the product of one transversal element per level of the
+    base, so |Stab| is the product of the basic-orbit lengths.  The budget
+    is charged one tick per triple before any triple is built.
+    """
     if group.degree != f.n_c:
         raise ValueError("group degree must equal nC")
     budget = budget or Budget()
-    finv = f.inverse()
-    triples = [
-        SymTriple(alpha, beta, gamma)
-        for gamma in group.elements()
-        for alpha, beta in _pairs_for_gamma(f, finv, gamma, budget)
-    ]
-    return sorted(triples, key=SymTriple.sort_key)
+    levels, gens = _symmetry_chain(f, group, budget)
+    budget.tick(prod(len(reps) for reps in levels))
+    elements = [tuple(range(2 * f.n_a + f.n_c))]
+    for reps in levels:
+        steps = [u.__getitem__ for u in reps.values()]
+        elements = [tuple(map(u, h)) for u in steps for h in elements]
+    elements.sort()
+    split = _splitter(f.n_a, f.n_c)
+    return Symmetries(map(split, elements), map(split, gens))
 
 
 # -- orbits and matching ------------------------------------------------------
@@ -265,6 +426,18 @@ def nonexistence_by_halffixed(
     return None
 
 
+def _fixed_by_all(h: Perm, triples: Iterable[SymTriple]) -> bool:
+    """True iff apply_pair(h, alpha, beta) == h for every triple.
+
+    Compared on image tuples: h then beta must equal alpha then h.
+    """
+    hi = h.images
+    return all(
+        tuple(map(t.beta.images.__getitem__, hi)) == tuple(map(hi.__getitem__, t.alpha.images))
+        for t in triples
+    )
+
+
 def _matching_to_perm(chosen: Iterable[Orbit], n_a: int) -> Perm:
     images = [-1] * n_a
     for o in chosen:
@@ -278,19 +451,21 @@ def equivariant_quotient(
 ) -> Certificate:
     """Decide whether f has a Gamma-equivariant quotient, with certificate."""
     budget = budget or Budget()
-    syms = tuple(stabilizer(f, group, budget))
+    found = stabilizer(f, group, budget)
+    syms = tuple(found)
     witness = nonexistence_by_halffixed(syms)
     if witness is not None:
         return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
-    pairs = sorted({(t.alpha, t.beta) for t in syms}, key=lambda p: (p[0].images, p[1].images))
+    # the generators' pairs generate the same group on A x B as all the pairs
+    pairs = [(t.alpha, t.beta) for t in found.generators]
+    pairs = pairs or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
     orbits = tuple(pair_orbits(pairs, f.n_a, f.n_b))
     chosen = _orbit_union_matching(orbits, f.n_a, f.n_b, budget)
     if chosen is None:
         return Certificate("not-exists", None, syms, "orbit-exhaustion", orbits=orbits)
     h = _matching_to_perm(chosen, f.n_a)
-    for t in syms:  # soundness re-check; cheap relative to the search
-        if apply_pair(h, t.alpha, t.beta) != h:
-            raise AssertionError("solver produced a non-equivariant quotient (bug)")
+    if not _fixed_by_all(h, syms):  # soundness re-check over every listed triple
+        raise AssertionError("solver produced a non-equivariant quotient (bug)")
     return Certificate("exists", h, syms, "matching-found", orbits=orbits)
 
 
@@ -300,8 +475,7 @@ def check_quotient(
     """True iff h is fixed by every symmetry of f over the given group."""
     if h.degree != f.n_a:
         raise ValueError("quotient degree mismatch")
-    syms = stabilizer(f, group, budget)
-    return all(apply_pair(h, t.alpha, t.beta) == h for t in syms)
+    return _fixed_by_all(h, stabilizer(f, group, budget))
 
 
 def nonexistence_from_symmetries(

@@ -165,6 +165,15 @@ class PermGroup:
             degree = gens[0].degree
         return cls(degree, gens)
 
+    def is_symmetric(self) -> bool:
+        """True when the generators are those of :meth:`symmetric`.
+
+        Then every permutation of the degree is an element, and a search
+        may take any image without enumerating the group.  Other generating
+        sets of the symmetric group answer False.
+        """
+        return self.generators == PermGroup.symmetric(self.degree).generators
+
     def elements(self, cap: int = DEFAULT_GROUP_CAP) -> list[Perm]:
         """All group elements, sorted by image sequence.
 

@@ -8,6 +8,7 @@ parameter set and seed, independent of the worker count.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -132,7 +133,10 @@ def probe_cancelling(
     group_name: str = "?",
     node_limit: int = 10**7,
 ) -> ProbeReport:
-    """Scan bijections at a fixed size and collect not-exists certificates."""
+    """Scan bijections at a fixed size and collect not-exists certificates.
+
+    At most ``os.cpu_count()`` worker processes run, whatever ``jobs`` asks.
+    """
     if mode not in ("all", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
     if group.degree != n_c:
@@ -151,6 +155,7 @@ def probe_cancelling(
         total = sample
         coverage, used_seed = "sampled", seed
 
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(flats) < 2 * jobs:
         hit_indices = _scan_chunk((n_a, n_c, group, mode, flats, 0, node_limit))
     else:

@@ -112,6 +112,15 @@ class TestQuotient:
         assert out.splitlines()[0] == "verdict exists"
         assert "quotient: 0 1" in out
 
+    def test_full_group_has_no_order_cap(self, capsys, tmp_path):
+        # |S_8| = 40320 is over the group cap, but full never enumerates S_C
+        z8 = tmp_path / "Z8.eqd"
+        code, out, _ = run(capsys, "gallery", "cyclic", "8")
+        z8.write_text(out)
+        code, out, err = run(capsys, "quotient", "--in", str(z8), "--group", "full")
+        assert code == 1 and err == ""
+        assert out.splitlines()[:2] == ["verdict not-exists", "reason: half-fixed-witness"]
+
     def test_certificate_file(self, capsys, tmp_path, xor_file):
         dest = tmp_path / "cert.txt"
         code, out, _ = run(

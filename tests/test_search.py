@@ -74,6 +74,32 @@ class TestProbe:
         parallel = probe_cancelling(2, 2, group, "all", jobs=2, group_name="full")
         assert serial.render() == parallel.render()
 
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        import equidiv.search as search
+
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        group = PermGroup.symmetric(2)
+        report = probe_cancelling(2, 2, group, "all", jobs=64, group_name="full")
+        assert workers == [2]
+        serial = probe_cancelling(2, 2, group, "all", jobs=1, group_name="full")
+        assert report.render() == serial.render()
+
     def test_counterexamples_reverified_by_oracle(self):
         from equidiv import quotient_exists_bruteforce
 

@@ -1,0 +1,106 @@
+"""The stabilizer search against plain enumeration, and its pinned node counts.
+
+The oracle here walks every (alpha, beta, gamma) in S_A x S_B x Gamma through
+is_symmetry and shares no code with the search, so it can catch a wrong
+search where quotient_exists_bruteforce (which calls stabilizer) cannot.
+"""
+
+import itertools
+import random
+from math import prod
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equidiv import (
+    Budget,
+    CayleyTable,
+    Perm,
+    PermGroup,
+    ProdBij,
+    SymTriple,
+    checkered_product,
+    is_symmetry,
+    pair_orbits,
+    parse_cycles,
+    regular_rep,
+    stabilizer,
+)
+from equidiv.equivariance import _symmetry_chain
+
+from conftest import random_bij
+
+
+def oracle(f: ProdBij, group: PermGroup) -> list[SymTriple]:
+    """Every symmetry of f with gamma in the group, by enumeration, sorted."""
+    perms_a = [Perm(p) for p in itertools.permutations(range(f.n_a))]
+    found = [
+        SymTriple(alpha, beta, gamma)
+        for alpha in perms_a
+        for beta in perms_a
+        for gamma in group.elements()
+        if is_symmetry(f, SymTriple(alpha, beta, gamma))
+    ]
+    return sorted(found, key=SymTriple.sort_key)
+
+
+@st.composite
+def instances(draw):
+    """(f, group) at nA, nC <= 3: random, parallel and identity tables under
+    full, trivial and random gens: subgroups."""
+    n_a = draw(st.integers(1, 3))
+    n_c = draw(st.integers(1, 3))
+    perm_c = st.permutations(range(n_c)).map(lambda xs: Perm(tuple(xs)))
+    kind = draw(st.sampled_from(["random", "parallel", "identity"]))
+    if kind == "random":
+        flat = draw(st.permutations(range(n_a * n_c)))
+        f = ProdBij.from_flat(flat, n_a, n_c)
+    elif kind == "parallel":
+        rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
+        f = ProdBij.parallel_from_rows(rows)
+    else:
+        f = ProdBij.identity(n_a, n_c)
+    group_kind = draw(st.sampled_from(["full", "trivial", "gens"]))
+    if group_kind == "full":
+        group = PermGroup.symmetric(n_c)
+    elif group_kind == "trivial":
+        group = PermGroup.trivial(n_c)
+    else:
+        group = PermGroup.generated(draw(st.lists(perm_c, min_size=1, max_size=2)), n_c)
+    return f, group
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_stabilizer_matches_oracle(case):
+    f, group = case
+    want = oracle(f, group)
+    got = stabilizer(f, group)
+    assert got == want
+    levels, _ = _symmetry_chain(f, group, Budget())
+    assert prod(len(reps) for reps in levels) == len(want)
+    assert set(got.generators) <= set(want)
+    ident = [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
+    from_gens = [(t.alpha, t.beta) for t in got.generators] or ident
+    from_all = [(t.alpha, t.beta) for t in want]
+    assert pair_orbits(from_gens, f.n_a, f.n_b) == pair_orbits(from_all, f.n_a, f.n_b)
+
+
+def _nodes(f: ProdBij, group: PermGroup) -> tuple[int, int]:
+    """Budget used by the stabilizer, and the number of triples it returns."""
+    budget = Budget()
+    triples = stabilizer(f, group, budget)
+    return budget.used, len(triples)
+
+
+def test_pinned_node_counts():
+    """Budget use of the stabilizer: search nodes plus one tick per triple.
+
+    These counts do not depend on the machine; a change to them is a change
+    to the search.
+    """
+    checkered = checkered_product(parse_cycles("(a,b,c)(d,e,f)", "abcdef"), tuple("abcdef"))
+    assert _nodes(regular_rep(CayleyTable.cyclic(7)), PermGroup.symmetric(7)) == (361, 294)
+    assert _nodes(checkered.bij, PermGroup.symmetric(6)) == (1353, 1296)
+    assert _nodes(random_bij(random.Random(71), 7, 1), PermGroup.symmetric(1)) == (5075, 5040)
+    assert _nodes(random_bij(random.Random(25), 2, 5), PermGroup.symmetric(5)) == (7, 1)
