@@ -8,6 +8,7 @@ A -> B is just a :class:`~equidiv.perm.Perm`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import FormatError
@@ -65,6 +66,21 @@ class ProdBij:
         for s, t in enumerate(flat):
             entries[s // n_a][s % n_a] = (t % n_a, t // n_a)
         return cls(n_a, n_c, tuple(tuple(r) for r in entries))
+
+    @cached_property
+    def flat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(fwd, inv)`` over the flat index of :meth:`from_flat`.
+
+        ``fwd[c*nA + a] = c'*nA + b`` when f(a, c) = (b, c'), and ``inv`` is
+        the inverse permutation.  Built on first use and cached on the table,
+        so the nC divisions of ``parallelize`` build it once.
+        """
+        n = self.n_a
+        fwd = [c2 * n + b for row in self.entries for b, c2 in row]
+        inv = [0] * len(fwd)
+        for s, t in enumerate(fwd):
+            inv[t] = s
+        return tuple(fwd), tuple(inv)
 
     def apply(self, a: int, c: int) -> Entry:
         return self.entries[c][a]

@@ -46,6 +46,13 @@ class TestProdBij:
         assert ProdBij.from_flat(flat, f.n_a, f.n_c) == f
 
     @given(bijections())
+    def test_flat_roundtrip(self, f):
+        fwd, inv = f.flat
+        assert ProdBij.from_flat(fwd, f.n_a, f.n_c) == f
+        assert ProdBij.from_flat(inv, f.n_a, f.n_c) == f.inverse()
+        assert all(inv[t] == s for s, t in enumerate(fwd))
+
+    @given(bijections())
     def test_inverse_involution(self, f):
         g = f.inverse()
         for c in range(f.n_c):
@@ -103,6 +110,24 @@ class TestSubtract:
             assert res.bij.n_a == 4 - k
             assert set(res.a_old) == set(range(4)) - set(a_rm)
             assert set(res.b_old) == set(range(4)) - set(b_rm)
+
+    @given(st.data())
+    def test_subtraction_composes(self, data):
+        # f - j1, then j2 in the survivors' labels, is f - (j1 | j2)
+        f = data.draw(bijections())
+        a_side = data.draw(st.permutations(range(f.n_a)))
+        b_side = data.draw(st.permutations(range(f.n_a)))
+        k1 = data.draw(st.integers(0, f.n_a))
+        k2 = data.draw(st.integers(0, f.n_a - k1))
+        j1 = tuple(zip(a_side[:k1], b_side[:k1]))
+        j2 = tuple(zip(a_side[k1:k1 + k2], b_side[k1:k1 + k2]))
+        first = f.subtract(PartialMap(j1))
+        j2_new = tuple((first.a_old.index(a), first.b_old.index(b)) for a, b in j2)
+        second = first.bij.subtract(PartialMap(j2_new))
+        both = f.subtract(PartialMap(j1 + j2))
+        assert second.bij == both.bij
+        assert tuple(first.a_old[i] for i in second.a_old) == both.a_old
+        assert tuple(first.b_old[i] for i in second.b_old) == both.b_old
 
     def test_rejects_noninjective(self):
         with pytest.raises(ValueError):

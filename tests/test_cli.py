@@ -74,6 +74,12 @@ class TestParallelize:
         assert code == 0
         assert "row 0: 0:0 1:0" in out and "row 1: 1:1 0:1" in out
 
+    def test_empty_c_is_invalid_input(self, capsys, tmp_path):
+        empty = tmp_path / "empty.eqd"
+        empty.write_text("EQUIDIV 1\nbij nA 3 nB 3 nC 0\n")
+        code, out, err = run(capsys, "parallelize", "--in", str(empty))
+        assert code == 3 and out == "" and "nC" in err
+
 
 class TestStab:
     def test_full(self, capsys, xor_file):

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equidiv import (
+    PartialMap,
     Perm,
     PermGroup,
     ProdBij,
@@ -12,8 +15,66 @@ from equidiv import (
     stabilizer,
 )
 from equidiv.corpus import two_by_two_counterexample, two_row_nonparallel
+from equidiv.division import _cycle_core
 
 from conftest import random_bij, random_perm
+
+
+def _fp_divide_reference(f: ProdBij, star: int) -> Perm:
+    """Basepoint division by the definition: every round re-inverts the
+    current table, commits p on the cycle core of p-then-q, and subtracts it
+    with ProdBij.subtract, relabeling the survivors."""
+    if not 0 <= star < f.n_c:
+        raise IndexError(f"basepoint {star} out of range")
+    images: list[int] = [-1] * f.n_a
+    cur = f
+    cur_a = list(range(f.n_a))
+    cur_b = list(range(f.n_b))
+    while cur.n_a > 0:
+        p = cur.row(star)
+        q = cur.inverse().row(star)
+        core = _cycle_core([q[p[a]] for a in range(cur.n_a)])
+        assert len({p[x] for x in core}) == len(core)
+        for x in core:
+            images[cur_a[x]] = cur_b[p[x]]
+        res = cur.subtract(PartialMap(tuple((x, p[x]) for x in core)))
+        cur_a = [cur_a[i] for i in res.a_old]
+        cur_b = [cur_b[i] for i in res.b_old]
+        cur = res.bij
+    return Perm(tuple(images))
+
+
+@st.composite
+def tables(draw):
+    """Random, parallel and identity tables with nA <= 6, 1 <= nC <= 5."""
+    n_a = draw(st.integers(0, 6))
+    n_c = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "parallel", "identity"]))
+    if kind == "random":
+        return ProdBij.from_flat(draw(st.permutations(range(n_a * n_c))), n_a, n_c)
+    if kind == "parallel":
+        rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
+        return ProdBij.parallel_from_rows(rows)
+    return ProdBij.identity(n_a, n_c)
+
+
+def _assert_matches_reference(f: ProdBij) -> None:
+    want = [_fp_divide_reference(f, c) for c in range(f.n_c)]
+    assert [fp_divide(f, c) for c in range(f.n_c)] == want
+    bar = parallelize(f)
+    assert bar.n_a == f.n_a and bar.n_c == f.n_c
+    for c in range(f.n_c):
+        assert bar.row(c) == want[c].images
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_small_tables_every_basepoint(self, f):
+        _assert_matches_reference(f)
+
+    def test_seeded_128_by_5(self):
+        _assert_matches_reference(random_bij(random.Random(128), 128, 5))
 
 
 class TestFpDivide:
@@ -83,6 +144,10 @@ class TestFpDivide:
 
 
 class TestParallelize:
+    def test_rejects_empty_c(self):
+        with pytest.raises(ValueError):
+            parallelize(ProdBij.identity(3, 0))
+
     def test_result_is_parallel(self):
         rng = random.Random(21)
         for _ in range(50):
