@@ -7,6 +7,7 @@ A -> B is just a :class:`~equidiv.perm.Perm`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,21 +27,25 @@ class ProdBij:
     entries: tuple[tuple[Entry, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(tuple(e) for e in row) for row in self.entries)
-        )
-        if self.n_a < 0 or self.n_c < 0:
+        entries = tuple(tuple(map(tuple, row)) for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        n_a, n_c = self.n_a, self.n_c
+        if n_a < 0 or n_c < 0:
             raise ValueError("negative size")
-        if len(self.entries) != self.n_c or any(len(r) != self.n_a for r in self.entries):
+        if len(entries) != n_c or any(len(r) != n_a for r in entries):
             raise ValueError("table shape does not match sizes")
-        hit = set()
-        for row in self.entries:
+        # One pass builds the flat index of :meth:`flat` and checks range;
+        # in range, f is a bijection iff that index repeats no cell.
+        fwd = []
+        for row in entries:
             for b, c2 in row:
-                if not (0 <= b < self.n_a and 0 <= c2 < self.n_c):
+                if not (0 <= b < n_a and 0 <= c2 < n_c):
                     raise ValueError(f"entry out of range: {(b, c2)}")
-                hit.add((b, c2))
-        if len(hit) != self.n_a * self.n_c:
+                fwd.append(c2 * n_a + b)
+        if len(set(fwd)) != len(fwd):
             raise ValueError("not a bijection")
+        # machine ints: 8 bytes a cell, not an int object per cell
+        object.__setattr__(self, "_fwd", array("l", fwd))
 
     @property
     def n_b(self) -> int:
@@ -75,12 +80,11 @@ class ProdBij:
         the inverse permutation.  Built on first use and cached on the table,
         so the nC divisions of ``parallelize`` build it once.
         """
-        n = self.n_a
-        fwd = [c2 * n + b for row in self.entries for b, c2 in row]
+        fwd = tuple(self._fwd)  # built by __post_init__'s validation pass
         inv = [0] * len(fwd)
         for s, t in enumerate(fwd):
             inv[t] = s
-        return tuple(fwd), tuple(inv)
+        return fwd, tuple(inv)
 
     def apply(self, a: int, c: int) -> Entry:
         return self.entries[c][a]
@@ -217,7 +221,12 @@ def parse_bijection(text: str) -> BijFile:
             side = side.strip()
             if side not in ("A", "B", "C"):
                 raise FormatError(f"bad labels line: {line!r}")
-            labels[side] = tuple(toks.split())
+            if side in labels:
+                raise FormatError(f"duplicate labels line for {side}: {line!r}")
+            names = tuple(toks.split())
+            if len(set(names)) != len(names):
+                raise FormatError(f"repeated label in: {line!r}")
+            labels[side] = names
         elif line.startswith("row "):
             head, _, body = line.partition(":")
             try:

@@ -7,6 +7,7 @@ not exist, 2 usage error, 3 invalid input, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -208,7 +209,10 @@ def _cmd_verify_paper(args) -> int:
     return 0 if run_corpus(sys.stdout) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every ``main()``
+    call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="equidiv",
         description="Equivariant division of bijections f : A x C -> B x C",

@@ -15,37 +15,26 @@ u = inv[(y, c)] that ran into (y, c) now runs to t = fwd[(x, c)], where the
 chain continued.  This is ``ProdBij.subtract``'s chain-following done one
 cell at a time.  It needs no relabeling because subtracting j1 and then j2
 (in the labels left by j1) is subtracting j1 | j2 from f: the arrays keep the
-original labels of A and B throughout.  A round costs O(|alive| + |X|*nC)
-instead of O(nA*nC) plus two table rebuilds.
+original labels of A and B throughout.
+
+The cycle search is incremental.  The graph is x -> q[p[x]], where
+p[x] = fwd[(x, c*)] mod nA and q[b] = inv[(b, c*)] mod nA.  Round 1 walks from
+every point.  A round commits every cycle of its graph, and a cycle whose
+edges no splice changed would have been one of them, so a cycle of the next
+round's graph must use an edge that the splices changed: either
+fwd[(x, c*)] was rewritten (x = u - c*nA for a spliced u in the basepoint
+row), or inv[(b, c*)] was, and then the cycle passes through the A point
+inv[(b, c*)] mod nA now names.  Later rounds walk only from those points.
+Each walk stamps the points it visits with its own id; it stops at a point
+stamped earlier in the round, and a walk that meets its own stamp has found
+a cycle.  A round costs O(|starts| + |walked| + |X|*nC), not a rescan of
+every surviving point.
 """
 
 from __future__ import annotations
 
 from .bijection import ProdBij
 from .perm import Perm
-
-
-def _cycle_core(fun: list[int]) -> list[int]:
-    """Points lying on a cycle of the functional graph x -> fun[x]."""
-    n = len(fun)
-    color = [0] * n  # 0 unvisited, 1 on current path, 2 finished
-    on_cycle = [False] * n
-    for start in range(n):
-        if color[start]:
-            continue
-        path = []
-        x = start
-        while color[x] == 0:
-            color[x] = 1
-            path.append(x)
-            x = fun[x]
-        if color[x] == 1:
-            # found a new cycle: the tail of `path` from x onward
-            for y in path[path.index(x):]:
-                on_cycle[y] = True
-        for y in path:
-            color[y] = 2
-    return [x for x in range(n) if on_cycle[x]]
 
 
 def fp_divide(f: ProdBij, star: int) -> Perm:
@@ -57,24 +46,42 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
     rows = [c * n for c in range(f.n_c)]
     base = star * n
     images = [-1] * n
-    alive = list(range(n))  # A points not yet committed
-    pos = [0] * n  # index of each alive point in `alive`
-    while alive:
-        for i, a in enumerate(alive):
-            pos[a] = i
-        p = [fwd[base + a] % n for a in alive]
-        core = _cycle_core([pos[inv[base + b] % n] for b in p])
-        taken = [p[i] for i in core]
+    stamp = [0] * n  # id of the last walk that visited each A point
+    walk = 0
+    starts = range(n)
+    committed = 0
+    while committed < n:
+        first = walk + 1  # walks of this round have ids >= first
+        core = []
+        for s in starts:
+            if images[s] >= 0 or stamp[s] >= first:
+                continue
+            walk += 1
+            path = []
+            x = s
+            while stamp[x] < first:
+                stamp[x] = walk
+                path.append(x)
+                x = inv[base + fwd[base + x] % n] % n
+            if stamp[x] == walk:
+                core += path[path.index(x):]
+        if not core:
+            raise AssertionError("no cycle among surviving points (bug)")
+        committed += len(core)
+        taken = [fwd[base + x] % n for x in core]
         if len(set(taken)) != len(taken):
             raise AssertionError("basepoint row not injective on cycle core (bug)")
-        for i, y in zip(core, taken):
-            x = alive[i]
+        starts = []
+        for x, y in zip(core, taken):
             images[x] = y
             for r in rows:
                 u, t = inv[r + y], fwd[r + x]
                 fwd[u] = t
                 inv[t] = u
-        alive = [a for a in alive if images[a] < 0]
+                if 0 <= u - base < n:  # p changed at A point u - base
+                    starts.append(u - base)
+                if 0 <= t - base < n:  # q changed at B point t - base
+                    starts.append(u % n)
     return Perm(tuple(images))
 
 

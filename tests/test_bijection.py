@@ -27,6 +27,63 @@ class TestProdBij:
         with pytest.raises(ValueError):
             ProdBij(2, 2, (((0, 0), (1, 0)),))  # wrong shape
 
+    @pytest.mark.parametrize(
+        "n_a,n_c,entries,message",
+        [
+            (-1, 0, (), "negative size"),
+            (2, -1, (), "negative size"),
+            (2, 2, (((0, 0), (1, 0)),), "table shape does not match sizes"),
+            (2, 1, (((0, 0),),), "table shape does not match sizes"),
+            (2, 1, (((0, 0), (2, 0)),), "entry out of range: (2, 0)"),
+            (2, 1, (((0, 0), (1, 1)),), "entry out of range: (1, 1)"),
+            (2, 1, (((-1, 0), (1, 0)),), "entry out of range: (-1, 0)"),
+            (2, 1, (((0, 0), (0, 0)),), "not a bijection"),
+            (2, 2, (((1, 1), (0, 0)), ((1, 0), (0, 0))), "not a bijection"),
+            # a repeat before an out-of-range entry still reports the range
+            (2, 2, (((0, 0), (0, 0)), ((1, 0), (0, 2))), "entry out of range: (0, 2)"),
+        ],
+    )
+    def test_rejection_messages(self, n_a, n_c, entries, message):
+        with pytest.raises(ValueError) as exc:
+            ProdBij(n_a, n_c, entries)
+        assert str(exc.value) == message
+
+    def test_list_input_becomes_tuples(self):
+        f = ProdBij(2, 2, [[[1, 1], [0, 0]], [[1, 0], [0, 1]]])
+        assert f.entries == (((1, 1), (0, 0)), ((1, 0), (0, 1)))
+        assert type(f.entries[0]) is tuple and type(f.entries[0][0]) is tuple
+        assert f == ProdBij(2, 2, f.entries)
+
+    def test_no_public_attribute_added(self):
+        f = ProdBij.identity(3, 2)
+        assert {k for k in vars(f) if not k.startswith("_")} == {"n_a", "n_c", "entries"}
+
+    def test_flat_matches_definition_for_every_constructor(self):
+        def by_definition(f):
+            fwd = [0] * (f.n_a * f.n_c)
+            for c in range(f.n_c):
+                for a in range(f.n_a):
+                    b, c2 = f.apply(a, c)
+                    fwd[c * f.n_a + a] = c2 * f.n_a + b
+            inv = [0] * len(fwd)
+            for s, t in enumerate(fwd):
+                inv[t] = s
+            return tuple(fwd), tuple(inv)
+
+        rng = random.Random(41)
+        f = random_bij(rng, 5, 3)
+        tables = [
+            ProdBij.identity(4, 3),
+            ProdBij.identity(0, 2),
+            f,
+            ProdBij.parallel_from_rows([rng.sample(range(5), 5) for _ in range(3)]),
+            f.transform(random_perm(rng, 5), random_perm(rng, 5), random_perm(rng, 3)),
+            parse_bijection(serialize_bijection(f)).bij,
+            ProdBij(5, 3, [[list(e) for e in row] for row in f.entries]),
+        ]
+        for g in tables:
+            assert g.flat == by_definition(g)
+
     def test_identity(self):
         f = ProdBij.identity(2, 2)
         assert f.is_parallel()
@@ -167,8 +224,20 @@ class TestFileFormat:
             "EQUIDIV 1\nbij nA 1 nB 1 nC 1\nlabels D: x\nrow 0: 0:0\n",
             "EQUIDIV 1\nbij nA 1 nB 1 nC 1\nlabels C: x y\nrow 0: 0:0\n",
             "EQUIDIV 1\nbij nA 1 nB 1 nC 1\nwhat\nrow 0: 0:0\n",
+            # a repeated label, and a second labels line for one side
+            "EQUIDIV 1\nbij nA 1 nB 1 nC 2\nlabels C: a a\nrow 0: 0:0\nrow 1: 0:1\n",
+            "EQUIDIV 1\nbij nA 1 nB 1 nC 2\nlabels C: a b\nlabels C: b a\n"
+            "row 0: 0:0\nrow 1: 0:1\n",
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_bijection(text)
+
+    def test_labels_for_each_side_once(self):
+        text = (
+            "EQUIDIV 1\nbij nA 2 nB 2 nC 1\nlabels A: x y\nlabels B: x y\n"
+            "labels C: x\nrow 0: 1:0 0:0\n"
+        )
+        bf = parse_bijection(text)
+        assert bf.a_labels == bf.b_labels == ("x", "y") and bf.c_labels == ("x",)

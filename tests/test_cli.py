@@ -1,6 +1,6 @@
 import pytest
 
-from equidiv.cli import main
+from equidiv.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -66,6 +66,15 @@ class TestDivide:
     def test_bad_base(self, capsys, xor_file):
         code, _, err = run(capsys, "divide", "--in", xor_file, "--base", "z")
         assert code == 3
+
+    def test_repeated_c_label_is_invalid_input(self, capsys, tmp_path):
+        dup = tmp_path / "dup.eqd"
+        dup.write_text(
+            "EQUIDIV 1\nbij nA 2 nB 2 nC 2\nlabels C: a a\n"
+            "row 0: 0:0 1:0\nrow 1: 1:1 0:1\n"
+        )
+        code, out, err = run(capsys, "divide", "--in", str(dup), "--base", "a")
+        assert code == 3 and out == "" and "repeated label" in err
 
 
 class TestParallelize:
@@ -232,3 +241,39 @@ class TestVerifyPaper:
         lines = out.splitlines()
         assert lines[-1] == "all checks passed"
         assert all(l.startswith("ok ") for l in lines[:-1])
+
+
+class TestParserReuse:
+    """``main()`` builds its parser once per process; reusing it must give
+    what a freshly built parser gives, with nothing carried between calls."""
+
+    def _call(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_same_as_fresh_parser(self, capsys, tmp_path, xor_file):
+        bad = tmp_path / "bad.eqd"
+        bad.write_text("what\n")
+        dest = tmp_path / "h.txt"
+        calls = [
+            ["divide", "--in", xor_file, "--base", "b", "--out", str(dest)],
+            ["quotient", "--in", xor_file, "--group", "trivial"],
+            ["divide", "--in", xor_file, "--nope"],
+            ["divide", "--in", str(bad), "--base", "0"],
+            ["divide", "--in", xor_file, "--base", "b"],
+        ]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(self._call(capsys, argv))
+        build_parser.cache_clear()
+        reused = [self._call(capsys, argv) for argv in calls]
+        assert reused == fresh
+        assert [r[0] for r in reused] == [0, 0, ("exit", 2), 3, 0]
+        assert reused[0][1] == "" and dest.read_text() == "1 0\n"
+        assert reused[4][1] == "1 0\n"  # --out did not carry over
+        assert build_parser() is build_parser()

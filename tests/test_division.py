@@ -15,15 +15,41 @@ from equidiv import (
     stabilizer,
 )
 from equidiv.corpus import two_by_two_counterexample, two_row_nonparallel
-from equidiv.division import _cycle_core
 
 from conftest import random_bij, random_perm
 
 
-def _fp_divide_reference(f: ProdBij, star: int) -> Perm:
+def _cycle_core(fun: list[int]) -> list[int]:
+    """Points lying on a cycle of the functional graph x -> fun[x], found by
+    scanning every point."""
+    n = len(fun)
+    color = [0] * n  # 0 unvisited, 1 on current path, 2 finished
+    on_cycle = [False] * n
+    for start in range(n):
+        if color[start]:
+            continue
+        path = []
+        x = start
+        while color[x] == 0:
+            color[x] = 1
+            path.append(x)
+            x = fun[x]
+        if color[x] == 1:
+            # found a new cycle: the tail of `path` from x onward
+            for y in path[path.index(x):]:
+                on_cycle[y] = True
+        for y in path:
+            color[y] = 2
+    return [x for x in range(n) if on_cycle[x]]
+
+
+def _fp_divide_reference(
+    f: ProdBij, star: int, core_sizes: list[int] | None = None
+) -> Perm:
     """Basepoint division by the definition: every round re-inverts the
-    current table, commits p on the cycle core of p-then-q, and subtracts it
-    with ProdBij.subtract, relabeling the survivors."""
+    current table, commits p on the cycle core of p-then-q (a full scan of
+    the survivors), and subtracts it with ProdBij.subtract, relabeling the
+    survivors.  Appends each round's |core| to ``core_sizes`` if given."""
     if not 0 <= star < f.n_c:
         raise IndexError(f"basepoint {star} out of range")
     images: list[int] = [-1] * f.n_a
@@ -35,6 +61,8 @@ def _fp_divide_reference(f: ProdBij, star: int) -> Perm:
         q = cur.inverse().row(star)
         core = _cycle_core([q[p[a]] for a in range(cur.n_a)])
         assert len({p[x] for x in core}) == len(core)
+        if core_sizes is not None:
+            core_sizes.append(len(core))
         for x in core:
             images[cur_a[x]] = cur_b[p[x]]
         res = cur.subtract(PartialMap(tuple((x, p[x]) for x in core)))
@@ -58,6 +86,45 @@ def tables(draw):
     return ProdBij.identity(n_a, n_c)
 
 
+@st.composite
+def large_tables(draw):
+    """Random tables with nA <= 48, 1 <= nC <= 6: many rounds per division."""
+    n_a = draw(st.integers(0, 48))
+    n_c = draw(st.integers(1, 6))
+    return ProdBij.from_flat(draw(st.permutations(range(n_a * n_c))), n_a, n_c)
+
+
+def _one_point_per_round(rng: random.Random, n_a: int, n_c: int) -> tuple[ProdBij, int]:
+    """A table whose division commits exactly one point per round, and the
+    basepoint that does it.
+
+    Rows 0 and 1 hold f(0, 0) = (0, 0), f(a, 0) = (a-1, 1) for a >= 1,
+    f(a, 1) = (a+1, 0) for a < nA-1 and f(nA-1, 1) = (nA-1, 1).  At
+    basepoint 0 the graph p-then-q is 0 -> 0, 1 -> 0 and a -> a-2: two
+    chains into a 1-cycle.  Each round commits the one fixed point and
+    splices one cell per row, which turns the next point into a fixed point,
+    so division takes nA rounds.  Rows 2.. are a random bijection among
+    themselves, and a random relabeling of A, B and C hides the pattern.
+    """
+    rows = [
+        [(0, 0)] + [(a - 1, 1) for a in range(1, n_a)],
+        [(a + 1, 0) for a in range(n_a - 1)] + [(n_a - 1, 1)],
+    ]
+    rest = [(b, c) for c in range(2, n_c) for b in range(n_a)]
+    rng.shuffle(rest)
+    rows += [rest[i:i + n_a] for i in range(0, len(rest), n_a)]
+    f = ProdBij(n_a, n_c, rows)
+    gamma = random_perm(rng, n_c)
+    return f.transform(random_perm(rng, n_a), random_perm(rng, n_a), gamma), gamma(0)
+
+
+#: The table sizes of the benchmark's divide-large workload.
+DIVIDE_LARGE_SIZES = (
+    (64, 8), (96, 6), (128, 5), (128, 8), (160, 6), (160, 8),
+    (192, 5), (192, 7), (224, 4), (224, 6), (256, 5), (256, 7),
+)
+
+
 def _assert_matches_reference(f: ProdBij) -> None:
     want = [_fp_divide_reference(f, c) for c in range(f.n_c)]
     assert [fp_divide(f, c) for c in range(f.n_c)] == want
@@ -73,8 +140,27 @@ class TestAgainstReference:
     def test_small_tables_every_basepoint(self, f):
         _assert_matches_reference(f)
 
+    @settings(max_examples=150, deadline=None)
+    @given(large_tables())
+    def test_large_tables_every_basepoint(self, f):
+        _assert_matches_reference(f)
+
+    @pytest.mark.parametrize("n_a,n_c", [(1, 2), (2, 2), (7, 3), (30, 2), (48, 6)])
+    def test_one_point_per_round(self, n_a, n_c):
+        f, star = _one_point_per_round(random.Random(n_a * 10 + n_c), n_a, n_c)
+        core_sizes: list[int] = []
+        want = _fp_divide_reference(f, star, core_sizes)
+        assert core_sizes == [1] * n_a
+        assert fp_divide(f, star) == want
+        _assert_matches_reference(f)
+
     def test_seeded_128_by_5(self):
         _assert_matches_reference(random_bij(random.Random(128), 128, 5))
+
+    def test_divide_large_sizes(self):
+        rng = random.Random(1)
+        for n_a, n_c in DIVIDE_LARGE_SIZES:
+            _assert_matches_reference(random_bij(rng, n_a, n_c))
 
 
 class TestFpDivide:
