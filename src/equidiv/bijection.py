@@ -3,11 +3,15 @@
 A, B, C are index sets 0..n-1.  |A| = |B| is forced (the two sides of the
 bijection have equal cardinality and the C factor cancels), so a quotient
 A -> B is just a :class:`~equidiv.perm.Perm`.
+
+A table is stored only as a flat permutation: cell (a, c) has index c*nA + a
+(likewise for B x C) and ``fwd[c*nA + a] = c'*nA + b`` when f(a, c) = (b, c').
+Its inverse ``inv`` is built on first use and cached.  Nested ``(b, c')`` rows
+are only the constructor's input and the derived ``entries`` view.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -18,34 +22,42 @@ from .perm import Perm
 Entry = tuple[int, int]  # (b, c')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProdBij:
-    """Dense table for f : A x C -> B x C; ``entries[c][a]`` = (b, c')."""
+    """f : A x C -> B x C as the flat permutation ``fwd``; see the module docstring."""
 
     n_a: int
     n_c: int
-    entries: tuple[tuple[Entry, ...], ...]
+    fwd: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(map(tuple, row)) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        n_a, n_c = self.n_a, self.n_c
+    def __init__(self, n_a: int, n_c: int, entries: Iterable[Iterable[Entry]]) -> None:
+        rows = [tuple(row) for row in entries]
         if n_a < 0 or n_c < 0:
             raise ValueError("negative size")
-        if len(entries) != n_c or any(len(r) != n_a for r in entries):
+        if len(rows) != n_c or any(len(r) != n_a for r in rows):
             raise ValueError("table shape does not match sizes")
-        # One pass builds the flat index of :meth:`flat` and checks range;
-        # in range, f is a bijection iff that index repeats no cell.
         fwd = []
-        for row in entries:
+        for row in rows:
             for b, c2 in row:
                 if not (0 <= b < n_a and 0 <= c2 < n_c):
                     raise ValueError(f"entry out of range: {(b, c2)}")
                 fwd.append(c2 * n_a + b)
+        self._store(n_a, n_c, fwd)
+
+    def _store(self, n_a: int, n_c: int, flat: Iterable[int]) -> None:
+        """Set the fields once flat is checked to be a permutation of the cells."""
+        fwd = tuple(flat)
+        if n_a < 0 or n_c < 0:
+            raise ValueError("negative size")
+        if len(fwd) != n_a * n_c:
+            raise ValueError("table shape does not match sizes")
+        if fwd and not 0 <= min(fwd) <= max(fwd) < len(fwd):
+            raise ValueError("flat index out of range")
         if len(set(fwd)) != len(fwd):
             raise ValueError("not a bijection")
-        # machine ints: 8 bytes a cell, not an int object per cell
-        object.__setattr__(self, "_fwd", array("l", fwd))
+        object.__setattr__(self, "n_a", n_a)
+        object.__setattr__(self, "n_c", n_c)
+        object.__setattr__(self, "fwd", fwd)
 
     @property
     def n_b(self) -> int:
@@ -53,69 +65,77 @@ class ProdBij:
 
     @classmethod
     def identity(cls, n_a: int, n_c: int) -> "ProdBij":
-        return cls(n_a, n_c, tuple(tuple((a, c) for a in range(n_a)) for c in range(n_c)))
+        return cls.from_flat(range(n_a * n_c), n_a, n_c)
 
     @classmethod
     def parallel_from_rows(cls, rows: Sequence[Sequence[int]]) -> "ProdBij":
         """Build a parallel bijection from one permutation of A per c."""
         n_c = len(rows)
         n_a = len(rows[0]) if rows else 0
-        return cls(n_a, n_c, tuple(tuple((b, c) for b in row) for c, row in enumerate(rows)))
+        if any(sorted(row) != list(range(n_a)) for row in rows):
+            raise ValueError("rows must be permutations of 0..nA-1")
+        return cls.from_flat([c * n_a + b for c, row in enumerate(rows) for b in row], n_a, n_c)
 
     @classmethod
-    def from_flat(cls, flat: Sequence[int], n_a: int, n_c: int) -> "ProdBij":
-        """Decode a permutation of 0..nA*nC-1, flat index = c*nA + a."""
-        entries = [
-            [(0, 0)] * n_a for _ in range(n_c)
-        ]
-        for s, t in enumerate(flat):
-            entries[s // n_a][s % n_a] = (t % n_a, t // n_a)
-        return cls(n_a, n_c, tuple(tuple(r) for r in entries))
+    def from_flat(cls, flat: Iterable[int], n_a: int, n_c: int) -> "ProdBij":
+        """The table whose ``fwd`` is ``flat``, a permutation of 0..nA*nC-1."""
+        f = cls.__new__(cls)
+        f._store(n_a, n_c, flat)
+        return f
 
     @cached_property
-    def flat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(fwd, inv)`` over the flat index of :meth:`from_flat`.
-
-        ``fwd[c*nA + a] = c'*nA + b`` when f(a, c) = (b, c'), and ``inv`` is
-        the inverse permutation.  Built on first use and cached on the table,
-        so the nC divisions of ``parallelize`` build it once.
-        """
-        fwd = tuple(self._fwd)  # built by __post_init__'s validation pass
-        inv = [0] * len(fwd)
-        for s, t in enumerate(fwd):
+    def inv(self) -> tuple[int, ...]:
+        """The inverse permutation of ``fwd``: the flat table of f^-1."""
+        inv = [0] * len(self.fwd)
+        for s, t in enumerate(self.fwd):
             inv[t] = s
-        return fwd, tuple(inv)
+        return tuple(inv)
+
+    @property
+    def flat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(fwd, inv)``: the table and the table of f^-1, over the flat index."""
+        return self.fwd, self.inv
+
+    @property
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
+        """Nested rows, ``entries[c][a]`` = (b, c'), decoded from ``fwd`` on each call."""
+        return tuple(tuple(self.apply(a, c) for a in range(self.n_a)) for c in range(self.n_c))
 
     def apply(self, a: int, c: int) -> Entry:
-        return self.entries[c][a]
+        if not (0 <= a < self.n_a and 0 <= c < self.n_c):  # else another cell's index
+            raise IndexError(f"cell {(a, c)} out of range")
+        t = self.fwd[c * self.n_a + a]
+        return t % self.n_a, t // self.n_a
 
     def row(self, c: int) -> tuple[int, ...]:
         """First components of f(., c); not a permutation in general."""
         if not 0 <= c < self.n_c:
             raise IndexError(f"row index {c} out of range")
-        return tuple(b for b, _ in self.entries[c])
+        n_a = self.n_a
+        return tuple(t % n_a for t in self.fwd[c * n_a:(c + 1) * n_a])
 
     def is_parallel(self) -> bool:
-        return all(c2 == c for c, row in enumerate(self.entries) for _, c2 in row)
+        n_a = self.n_a
+        return all(s // n_a == t // n_a for s, t in enumerate(self.fwd))
 
     def inverse(self) -> "ProdBij":
-        inv = [[(0, 0)] * self.n_a for _ in range(self.n_c)]
-        for c in range(self.n_c):
-            for a in range(self.n_a):
-                b, c2 = self.entries[c][a]
-                inv[c2][b] = (a, c)
-        return ProdBij(self.n_a, self.n_c, tuple(tuple(r) for r in inv))
+        return self.from_flat(self.inv, self.n_a, self.n_c)
 
     def transform(self, alpha: Perm, beta: Perm, gamma: Perm) -> "ProdBij":
-        """Relabel by (alpha, beta, gamma): result(a,c) = (beta x gamma)(f(alpha^-1 a, gamma^-1 c))."""
+        """Relabel by (alpha, beta, gamma): result(a,c) = (beta x gamma)(f(alpha^-1 a, gamma^-1 c)).
+
+        On flat indices this is conjugation: cell c*nA + a moves to
+        gamma(c)*nA + alpha(a) and its image c'*nA + b to gamma(c')*nA + beta(b).
+        """
         if alpha.degree != self.n_a or beta.degree != self.n_b or gamma.degree != self.n_c:
             raise ValueError("degree mismatch in transform")
-        out = [[(0, 0)] * self.n_a for _ in range(self.n_c)]
-        for c in range(self.n_c):
-            for a in range(self.n_a):
-                b, c2 = self.entries[c][a]
-                out[gamma(c)][alpha(a)] = (beta(b), gamma(c2))
-        return ProdBij(self.n_a, self.n_c, tuple(tuple(r) for r in out))
+        n_a = self.n_a
+        a_cells = [g * n_a + a for g in gamma.images for a in alpha.images]
+        b_cells = [g * n_a + b for g in gamma.images for b in beta.images]
+        out = [0] * len(self.fwd)
+        for s, t in enumerate(self.fwd):
+            out[a_cells[s]] = b_cells[t]
+        return self.from_flat(out, n_a, self.n_c)
 
     def subtract(self, j: "PartialMap") -> "SubtractResult":
         """Remove the partial bijection j x id_C, chaining through removed cells.
@@ -125,24 +145,21 @@ class ProdBij:
         chain always escapes: each pass consumes a fresh removed cell.
         """
         x_set = {a for a, _ in j.pairs}
-        y_set = {b for _, b in j.pairs}
-        if not x_set <= set(range(self.n_a)) or not y_set <= set(range(self.n_a)):
-            raise ValueError("partial map outside index range")
         j_inv = {b: a for a, b in j.pairs}
+        if not x_set <= set(range(self.n_a)) or not j_inv.keys() <= set(range(self.n_a)):
+            raise ValueError("partial map outside index range")
         a_kept = tuple(a for a in range(self.n_a) if a not in x_set)
-        b_kept = tuple(b for b in range(self.n_b) if b not in y_set)
-        a_new = {a: i for i, a in enumerate(a_kept)}
+        b_kept = tuple(b for b in range(self.n_b) if b not in j_inv)
         b_new = {b: i for i, b in enumerate(b_kept)}
-        entries = []
+        n_a, n_new, fwd = self.n_a, len(a_kept), self.fwd
+        flat = []
         for c in range(self.n_c):
-            row = []
             for a in a_kept:
-                b, c2 = self.entries[c][a]
-                while b in y_set:
-                    b, c2 = self.entries[c2][j_inv[b]]
-                row.append((b_new[b], c2))
-            entries.append(tuple(row))
-        sub = ProdBij(len(a_kept), self.n_c, tuple(entries))
+                c2, b = divmod(fwd[c * n_a + a], n_a)
+                while b in j_inv:
+                    c2, b = divmod(fwd[c2 * n_a + j_inv[b]], n_a)
+                flat.append(c2 * n_new + b_new[b])
+        sub = self.from_flat(flat, n_new, self.n_c)
         return SubtractResult(sub, a_kept, b_kept)
 
 
@@ -213,7 +230,8 @@ def parse_bijection(text: str) -> BijFile:
     if n_a != n_b:
         raise FormatError("nA and nB must agree")
     labels: dict[str, tuple[str, ...]] = {}
-    rows: dict[int, tuple[Entry, ...]] = {}
+    rows: dict[int, list[int]] = {}  # flat cells c'*nA + b
+    out_of_range: dict[int, Entry] = {}  # first (b, c') out of range, per row
     for line in lines[2:]:
         if line.startswith("labels "):
             rest = line[len("labels "):]
@@ -235,16 +253,19 @@ def parse_bijection(text: str) -> BijFile:
                 raise FormatError(f"bad row line: {line!r}") from exc
             if c in rows or not 0 <= c < n_c:
                 raise FormatError(f"bad or duplicate row index in: {line!r}")
-            entries = []
+            cells = []
             for tok in body.split():
                 b_s, _, c_s = tok.partition(":")
                 try:
-                    entries.append((int(b_s), int(c_s)))
+                    b, c2 = int(b_s), int(c_s)
                 except ValueError as exc:
                     raise FormatError(f"bad entry {tok!r}") from exc
-            if len(entries) != n_a:
-                raise FormatError(f"row {c} has {len(entries)} entries, expected {n_a}")
-            rows[c] = tuple(entries)
+                if not (0 <= b < n_a and 0 <= c2 < n_c):
+                    out_of_range.setdefault(c, (b, c2))
+                cells.append(c2 * n_a + b)
+            if len(cells) != n_a:
+                raise FormatError(f"row {c} has {len(cells)} entries, expected {n_a}")
+            rows[c] = cells
         else:
             raise FormatError(f"unrecognized line: {line!r}")
     if set(rows) != set(range(n_c)):
@@ -253,8 +274,10 @@ def parse_bijection(text: str) -> BijFile:
     for side, toks in labels.items():
         if len(toks) != expect[side]:
             raise FormatError(f"labels {side} has {len(toks)} entries, expected {expect[side]}")
+    if out_of_range:  # after every format check and in row order, as ProdBij reports it
+        raise FormatError(f"entry out of range: {out_of_range[min(out_of_range)]}")
     try:
-        bij = ProdBij(n_a, n_c, tuple(rows[c] for c in range(n_c)))
+        bij = ProdBij.from_flat([t for c in range(n_c) for t in rows[c]], n_a, n_c)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     return BijFile(bij, labels.get("A"), labels.get("B"), labels.get("C"))
@@ -270,7 +293,9 @@ def serialize_bijection(
     for side, labs in (("A", a_labels), ("B", b_labels), ("C", c_labels)):
         if labs is not None:
             out.append(f"labels {side}: " + " ".join(labs))
+    n_a = f.n_a
+    cell = [f"{b}:{c2}" for c2 in range(f.n_c) for b in range(n_a)]  # by flat index
     for c in range(f.n_c):
-        body = " ".join(f"{b}:{c2}" for b, c2 in f.entries[c])
+        body = " ".join(map(cell.__getitem__, f.fwd[c * n_a:(c + 1) * n_a]))
         out.append(f"row {c}: {body}".rstrip())
     return "\n".join(out) + "\n"

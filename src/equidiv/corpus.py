@@ -48,7 +48,7 @@ def two_by_two_counterexample() -> ProdBij:
 
 def two_row_nonparallel() -> ProdBij:
     """Rows Ka,Kb / Qb,Qa: the smallest non-parallel gallery instance."""
-    return ProdBij(2, 2, (((0, 0), (0, 1)), ((1, 1), (1, 0))))
+    return ProdBij.from_flat((0, 2, 3, 1), 2, 2)  # the rows above as c'*nA + b per cell
 
 
 def _triple(a_cycles: str, b_cycles: str, c_cycles: str, n_a: int, n_c: int) -> SymTriple:

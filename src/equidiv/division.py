@@ -6,13 +6,12 @@ its cycle core X, commit p restricted to X to the quotient, subtract
 (p restricted to X) x id_C from f, repeat.  X is nonempty at every step (a
 finite functional graph always has a cycle), so this terminates.
 
-The table is never rebuilt.  f is held as two flat int arrays over the index
-of ``ProdBij.from_flat`` (cell (a, c) of A x C is c*nA + a, likewise for
-B x C): ``fwd`` and its inverse ``inv``.  Subtracting a committed pair x -> y
-removes, for every c, the A-cell (x, c) and the B-cell (y, c), which the
-subtraction identifies, and splices the chain through them: the cell
-u = inv[(y, c)] that ran into (y, c) now runs to t = fwd[(x, c)], where the
-chain continued.  This is ``ProdBij.subtract``'s chain-following done one
+The table is never rebuilt.  Division copies the flat tables ``fwd`` and
+``inv`` of ``ProdBij`` (cell (a, c) is c*nA + a).  Subtracting a committed
+pair x -> y removes, for every c, the A-cell (x, c) and the B-cell (y, c),
+which the subtraction identifies, and splices the chain through them: the
+cell u = inv[(y, c)] that ran into (y, c) now runs to t = fwd[(x, c)], where
+the chain continued.  This is ``ProdBij.subtract``'s chain-following done one
 cell at a time.  It needs no relabeling because subtracting j1 and then j2
 (in the labels left by j1) is subtracting j1 | j2 from f: the arrays keep the
 original labels of A and B throughout.
@@ -42,7 +41,7 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
     if not 0 <= star < f.n_c:
         raise IndexError(f"basepoint {star} out of range")
     n = f.n_a
-    fwd, inv = (list(arr) for arr in f.flat)
+    fwd, inv = list(f.fwd), list(f.inv)
     rows = [c * n for c in range(f.n_c)]
     base = star * n
     images = [-1] * n
@@ -88,7 +87,7 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
 def parallelize(f: ProdBij) -> ProdBij:
     """Collect the basepoint quotients for every c into one parallel bijection.
 
-    The nC divisions share ``f.flat``, which is built once.
+    The nC divisions share ``f.inv``, which is built once.
     """
     if f.n_c == 0:
         raise ValueError("parallelize needs a nonempty C (nC >= 1)")

@@ -82,10 +82,6 @@ def apply_pair(h: Perm, alpha: Perm, beta: Perm) -> Perm:
     return alpha.inverse().then(h).then(beta)
 
 
-def _identityish(p: Perm | None) -> bool:
-    return p is None or p.is_identity()
-
-
 # -- stabilizer search --------------------------------------------------------
 #
 # A triple acts on the N = 2nA + nC points A ⊔ B ⊔ C: alpha on 0..nA-1, beta
@@ -123,11 +119,10 @@ def _symmetry_chain(
     n_a, n_c = f.n_a, f.n_c
     g0 = 2 * n_a
     n = g0 + n_c
-    fwd = [[(n_a + b, g0 + c2) for b, c2 in row] for row in f.entries]
-    bwd = [[(0, 0)] * n_a for _ in range(n_c)]
-    for c, row in enumerate(f.entries):
-        for a, (b, c2) in enumerate(row):
-            bwd[c2][b] = (a, g0 + c)
+    # fwd[c][a] = f(a, c) and bwd[c'][b] = f^-1(b, c') as points, read off the flat index
+    starts = range(0, n_a * n_c, n_a)
+    fwd = [[(n_a + t % n_a, g0 + t // n_a) for t in f.fwd[r:r + n_a]] for r in starts]
+    bwd = [[(s % n_a, g0 + s // n_a) for s in f.inv[r:r + n_a]] for r in starts]
     label = _point_labels(f)
     allowed = None if group.is_symmetric() else [g.images for g in group.elements()]
 
@@ -143,35 +138,25 @@ def _symmetry_chain(
                 return None
             img[x] = y
             pre[y] = x
-            if x < n_a:  # alpha(x) = y: fire the cells (x, c) with gamma(c) known
+            if x < g0:  # alpha or beta: fire the cells (x, c) of f or f^-1 with gamma(c) known
+                rows, x, y = (fwd, x, y) if x < n_a else (bwd, x - n_a, y - n_a)
                 for c in range(n_c):
                     gc = img[g0 + c]
                     if gc >= 0:
-                        (pb, pc), (qb, qc) = fwd[c][x], fwd[gc - g0][y]
-                        queue += ((pb, qb), (pc, qc))
-            elif x < g0:  # beta: fire the cells f^-1(b, c') with gamma(c') known
-                b, b2 = x - n_a, y - n_a
-                for c in range(n_c):
-                    gc = img[g0 + c]
-                    if gc >= 0:
-                        (pa, pc), (qa, qc) = bwd[c][b], bwd[gc - g0][b2]
-                        queue += ((pa, qa), (pc, qc))
+                        (p1, p2), (q1, q2) = rows[c][x], rows[gc - g0][y]
+                        queue += ((p1, q1), (p2, q2))
             else:  # gamma(c) = c2: fire both kinds of cell in row c
                 c, c2 = x - g0, y - g0
                 if els is not None:
                     els = [g for g in els if g[c] == c2]
                     if not els:
                         return None
-                row, row2 = fwd[c], fwd[c2]
-                for a in range(n_a):
-                    if img[a] >= 0:
-                        (pb, pc), (qb, qc) = row[a], row2[img[a]]
-                        queue += ((pb, qb), (pc, qc))
-                row, row2 = bwd[c], bwd[c2]
-                for b in range(n_a):
-                    if img[n_a + b] >= 0:
-                        (pa, pc), (qa, qc) = row[b], row2[img[n_a + b] - n_a]
-                        queue += ((pa, qa), (pc, qc))
+                for rows, off in ((fwd, 0), (bwd, n_a)):
+                    row, row2 = rows[c], rows[c2]
+                    for a, ya in enumerate(img[off:off + n_a]):
+                        if ya >= 0:
+                            (p1, p2), (q1, q2) = row[a], row2[ya - off]
+                            queue += ((p1, q1), (p2, q2))
         return img, pre, els
 
     def pick(img: list[int]) -> int | None:
@@ -248,14 +233,11 @@ def _point_labels(f: ProdBij) -> list[int]:
     is its column.
     """
     n_a, n_c = f.n_a, f.n_c
-    col = [[0] * n_c for _ in range(n_a)]  # col[a][c] = c'
-    back = [[0] * n_c for _ in range(n_a)]  # back[b][c'] = c
+    col = [[t // n_a for t in f.fwd[a::n_a]] for a in range(n_a)]  # col[a][c] = c'
+    back = [[s // n_a for s in f.inv[b::n_a]] for b in range(n_a)]  # back[b][c'] = c
     m = [[0] * n_c for _ in range(n_c)]
-    for c, row in enumerate(f.entries):
-        for a, (b, c2) in enumerate(row):
-            col[a][c] = c2
-            back[b][c2] = c
-            m[c][c2] += 1
+    for s, t in enumerate(f.fwd):
+        m[s // n_a][t // n_a] += 1
 
     def shape(phi: list[int]) -> tuple:
         sizes = [0] * n_c
@@ -420,8 +402,8 @@ def nonexistence_by_halffixed(
     h = h then beta (beta nontrivial) or alpha^-1 then h = h (alpha
     nontrivial) since h hits every value.
     """
-    for t in symmetries:
-        if _identityish(t.alpha) != _identityish(t.beta):
+    for t in symmetries:  # a lazy symmetry's alpha is None: the identity on A
+        if (t.alpha is None or t.alpha.is_identity()) != t.beta.is_identity():
             return t
     return None
 
@@ -446,18 +428,14 @@ def _matching_to_perm(chosen: Iterable[Orbit], n_a: int) -> Perm:
     return Perm(tuple(images))
 
 
-def equivariant_quotient(
-    f: ProdBij, group: PermGroup, budget: Budget | None = None
+def _decide(
+    f: ProdBij, syms: tuple[SymTriple, ...], pairs: list[tuple[Perm, Perm]], budget: Budget
 ) -> Certificate:
-    """Decide whether f has a Gamma-equivariant quotient, with certificate."""
-    budget = budget or Budget()
-    found = stabilizer(f, group, budget)
-    syms = tuple(found)
+    """Half-fixed witness, else an orbit matching, for the triples ``syms``, whose
+    (alpha, beta) pairs generate the same group on A x B as ``pairs``."""
     witness = nonexistence_by_halffixed(syms)
     if witness is not None:
         return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
-    # the generators' pairs generate the same group on A x B as all the pairs
-    pairs = [(t.alpha, t.beta) for t in found.generators]
     pairs = pairs or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
     orbits = tuple(pair_orbits(pairs, f.n_a, f.n_b))
     chosen = _orbit_union_matching(orbits, f.n_a, f.n_b, budget)
@@ -467,6 +445,17 @@ def equivariant_quotient(
     if not _fixed_by_all(h, syms):  # soundness re-check over every listed triple
         raise AssertionError("solver produced a non-equivariant quotient (bug)")
     return Certificate("exists", h, syms, "matching-found", orbits=orbits)
+
+
+def equivariant_quotient(
+    f: ProdBij, group: PermGroup, budget: Budget | None = None
+) -> Certificate:
+    """Decide whether f has a Gamma-equivariant quotient, with certificate."""
+    budget = budget or Budget()
+    found = stabilizer(f, group, budget)
+    # the generators' pairs generate the same group on A x B as all the pairs
+    pairs = [(t.alpha, t.beta) for t in found.generators]
+    return _decide(f, tuple(found), pairs, budget)
 
 
 def check_quotient(
@@ -487,20 +476,13 @@ def nonexistence_from_symmetries(
     orbit matching against the subset soundly proves not-exists.  A found
     matching proves nothing (the full stabilizer may reject it): returns None.
     """
-    budget = budget or Budget()
     for t in symmetries:
         if not is_symmetry(f, t):
             raise ValueError("supplied triple is not a symmetry of f")
     syms = tuple(symmetries)
-    witness = nonexistence_by_halffixed(syms)
-    if witness is not None:
-        return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
     pairs = sorted({(t.alpha, t.beta) for t in syms}, key=lambda p: (p[0].images, p[1].images))
-    pairs = pairs or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
-    orbits = tuple(pair_orbits(pairs, f.n_a, f.n_b))
-    if _orbit_union_matching(orbits, f.n_a, f.n_b, budget) is None:
-        return Certificate("not-exists", None, syms, "orbit-exhaustion", orbits=orbits)
-    return None
+    cert = _decide(f, syms, pairs, budget or Budget())
+    return None if cert.verdict == "exists" else cert
 
 
 # -- text formats -------------------------------------------------------------

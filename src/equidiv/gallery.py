@@ -9,7 +9,6 @@ from typing import Sequence
 
 from .bijection import ProdBij
 from .equivariance import SymTriple
-from .lazy import LazyBij, ordering_gadget
 from .perm import Perm
 
 BAR = "̄"  # combining macron: 0-bar renders as "0̄"
@@ -67,10 +66,7 @@ class CayleyTable:
 
 def regular_rep(table: CayleyTable) -> ProdBij:
     """A = B = C = G and f(x, y) = (xy, y); always parallel."""
-    n = table.n
-    return ProdBij(
-        n, n, tuple(tuple((table.product[a][c], c) for a in range(n)) for c in range(n))
-    )
+    return ProdBij.parallel_from_rows([table.right_translation(c).images for c in range(table.n)])
 
 
 # -- checkered Cartesian product ---------------------------------------------
@@ -131,10 +127,11 @@ def checkered_product(
         return tup[:t] + (x2,) + tup[t + 1:]
 
     n_a = len(a_elems)
-    entries = tuple(
-        tuple((b_index[act(tup, c)], c) for tup in a_elems) for c in range(sigma.degree)
+    bij = ProdBij.from_flat(
+        [c * n_a + b_index[act(tup, c)] for c in range(sigma.degree) for tup in a_elems],
+        n_a,
+        sigma.degree,
     )
-    bij = ProdBij(n_a, sigma.degree, entries)
 
     def display(tup: tuple[int, ...]) -> str:
         parts = []
@@ -208,8 +205,3 @@ def shift_table(order: Sequence[str], c_labels: Sequence[str]) -> ProdBij:
     shift = {lab: s for s, lab in enumerate(order)}
     rows = [[(a + shift[lab]) % 3 for a in range(3)] for lab in c_labels]
     return ProdBij.parallel_from_rows(rows)
-
-
-def ordering_gadget_pair(first: str, second: str, fixed: str) -> LazyBij:
-    """Lazy ordering gadget; see :func:`equidiv.lazy.ordering_gadget`."""
-    return ordering_gadget(first, second, fixed)

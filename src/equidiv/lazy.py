@@ -76,9 +76,6 @@ class LazyBij:
     def symbols(self) -> tuple[str, ...]:
         return tuple(s for s in self.symbol_by_row if s is not None)
 
-    def moved_rows(self) -> list[int]:
-        return [i for i, s in enumerate(self.symbol_by_row) if s is not None]
-
     def validate(self) -> None:
         """Case analysis establishing that every output cell is hit once.
 
@@ -186,6 +183,8 @@ def lazy_equal(x: LazyBij, y: LazyBij) -> bool:
 
 def render_lazy(lazy: LazyBij, window: int) -> str:
     """Window of the table: one line per row, entries like "Ka" or "12c"."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     lines = []
     for i, label in enumerate(lazy.c_labels):
         entries = []

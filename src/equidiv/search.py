@@ -141,6 +141,8 @@ def probe_cancelling(
         raise ValueError(f"unknown mode {mode!r}")
     if group.degree != n_c:
         raise ValueError("group degree must equal nC")
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be >= 0, got {sample}")
     total = _total(n_a, n_c, mode)
     if sample is None:
         cap = ALL_MODE_CAP if mode == "all" else PARALLEL_MODE_CAP

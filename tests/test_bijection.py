@@ -18,6 +18,47 @@ def bijections(draw):
     return ProdBij.from_flat(flat, n_a, n_c)
 
 
+@st.composite
+def nested_tables(draw):
+    """(nA, nC, rows) with rows[c][a] = (b, c'), drawn without ProdBij; some parallel."""
+    n_a, n_c = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        cells = draw(st.permutations([(b, c2) for c2 in range(n_c) for b in range(n_a)]))
+        return n_a, n_c, [cells[c * n_a:(c + 1) * n_a] for c in range(n_c)]
+    perms = [draw(st.permutations(range(n_a))) for _ in range(n_c)]
+    return n_a, n_c, [[(b, c) for b in row] for c, row in enumerate(perms)]
+
+
+# -- the nested-table operations ProdBij had before it stored only the flat
+# index, kept as by-definition references for the flat ones
+
+
+def _inverse_reference(n_a, n_c, rows):
+    inv = [[(0, 0)] * n_a for _ in range(n_c)]
+    for c in range(n_c):
+        for a in range(n_a):
+            b, c2 = rows[c][a]
+            inv[c2][b] = (a, c)
+    return ProdBij(n_a, n_c, tuple(tuple(r) for r in inv))
+
+
+def _transform_reference(n_a, n_c, rows, alpha, beta, gamma):
+    out = [[(0, 0)] * n_a for _ in range(n_c)]
+    for c in range(n_c):
+        for a in range(n_a):
+            b, c2 = rows[c][a]
+            out[gamma(c)][alpha(a)] = (beta(b), gamma(c2))
+    return ProdBij(n_a, n_c, tuple(tuple(r) for r in out))
+
+
+def _serialize_reference(n_a, n_c, rows):
+    out = ["EQUIDIV 1", f"bij nA {n_a} nB {n_a} nC {n_c}"]
+    for c in range(n_c):
+        body = " ".join(f"{b}:{c2}" for b, c2 in rows[c])
+        out.append(f"row {c}: {body}".rstrip())
+    return "\n".join(out) + "\n"
+
+
 class TestProdBij:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -56,7 +97,7 @@ class TestProdBij:
 
     def test_no_public_attribute_added(self):
         f = ProdBij.identity(3, 2)
-        assert {k for k in vars(f) if not k.startswith("_")} == {"n_a", "n_c", "entries"}
+        assert {k for k in vars(f) if not k.startswith("_")} == {"n_a", "n_c", "fwd"}
 
     def test_flat_matches_definition_for_every_constructor(self):
         def by_definition(f):
@@ -84,6 +125,42 @@ class TestProdBij:
         for g in tables:
             assert g.flat == by_definition(g)
 
+    @given(nested_tables(), st.data())
+    def test_flat_readers_match_nested_references(self, table, data):
+        n_a, n_c, rows = table
+        f = ProdBij(n_a, n_c, rows)
+        assert f.entries == tuple(tuple(r) for r in rows)
+        assert all(f.apply(a, c) == rows[c][a] for c in range(n_c) for a in range(n_a))
+        assert [f.row(c) for c in range(n_c)] == [tuple(b for b, _ in r) for r in rows]
+        assert f.is_parallel() == all(c2 == c for c in range(n_c) for _, c2 in rows[c])
+        assert f.inverse() == _inverse_reference(n_a, n_c, rows)
+        alpha, beta = (Perm(tuple(data.draw(st.permutations(range(n_a))))) for _ in "ab")
+        gamma = Perm(tuple(data.draw(st.permutations(range(n_c)))))
+        assert f.transform(alpha, beta, gamma) == _transform_reference(
+            n_a, n_c, rows, alpha, beta, gamma
+        )
+        assert serialize_bijection(f) == _serialize_reference(n_a, n_c, rows)
+
+    @pytest.mark.parametrize(
+        "flat,message",
+        [
+            ((0, 1, 2), "table shape does not match sizes"),
+            ((0, 1, 2, 3, 4), "table shape does not match sizes"),
+            ((0, 1, 2, 4), "flat index out of range"),
+            ((-1, 0, 1, 2), "flat index out of range"),
+            ((0, 1, 2, 2), "not a bijection"),
+        ],
+    )
+    def test_from_flat_rejects(self, flat, message):
+        with pytest.raises(ValueError) as exc:
+            ProdBij.from_flat(flat, 2, 2)
+        assert str(exc.value) == message
+
+    def test_parallel_rows_must_be_permutations(self):
+        # flat 0 2 3 1 is a permutation, but b = 2 and b = -1 are not in A
+        with pytest.raises(ValueError):
+            ProdBij.parallel_from_rows([(0, 2), (1, -1)])
+
     def test_identity(self):
         f = ProdBij.identity(2, 2)
         assert f.is_parallel()
@@ -92,6 +169,12 @@ class TestProdBij:
     def test_row_range(self):
         with pytest.raises(IndexError):
             ProdBij.identity(2, 2).row(2)
+
+    @pytest.mark.parametrize("a,c", [(2, 0), (0, 2), (-1, 0)])
+    def test_apply_range(self, a, c):
+        # flat index c*nA + a of (2, 0) is cell (0, 1), which must not be read
+        with pytest.raises(IndexError):
+            ProdBij.identity(2, 2).apply(a, c)
 
     @given(bijections())
     def test_from_flat_roundtrip(self, f):
@@ -233,6 +316,22 @@ class TestFileFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_bijection(text)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # 2:0 is flat index 2, a cell of row 1, so the flat table 0 2 1 3 is a
+            # permutation: only the check on b itself rejects it
+            "row 0: 0:0 2:0\nrow 1: 1:0 1:1\n",
+            # rows in any order, and a repeat, still report row 0's range first
+            "row 1: 0:5 1:1\nrow 0: 0:0 2:0\n",
+            "row 0: 0:0 0:0\nrow 1: 2:0 1:1\n",
+        ],
+    )
+    def test_entry_range_checked_per_side(self, rows):
+        with pytest.raises(FormatError) as exc:
+            parse_bijection("EQUIDIV 1\nbij nA 2 nB 2 nC 2\n" + rows)
+        assert str(exc.value) == "entry out of range: (2, 0)"
 
     def test_labels_for_each_side_once(self):
         text = (

@@ -199,6 +199,12 @@ class TestGallery:
         )
         assert code == 0 and out.splitlines()[0] == "row x: Kx Ky Kz"
 
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_thm4_rejects_empty_window(self, capsys, window):
+        code, out, err = run(capsys, "gallery", "thm4", "(a,b)", "--window", window)
+        assert code == 3 and out == ""
+        assert err == f"error: window must be >= 1, got {window}\n"
+
     def test_gadget_xyz(self, capsys):
         code, out, _ = run(capsys, "gallery", "gadget-xyz", "y,z,x")
         assert code == 0
@@ -228,6 +234,11 @@ class TestProbeCli:
             capsys, "probe", "--nA", "3", "--nC", "2", "--sample", "20", "--seed", "5"
         )
         assert code1 == code2 == 0 and out1 == out2
+
+    def test_negative_sample(self, capsys):
+        code, out, err = run(capsys, "probe", "--nA", "2", "--nC", "2", "--sample", "-3")
+        assert code == 3 and out == ""
+        assert err == "error: sample must be >= 0, got -3\n"
 
     def test_cap_exit(self, capsys):
         code, _, err = run(capsys, "probe", "--nA", "4", "--nC", "4")
