@@ -16,7 +16,6 @@ from .equivariance import (
     Orbit,
     SymTriple,
     apply_pair,
-    check_quotient,
     equivariant_quotient,
     is_symmetry,
     nonexistence_by_halffixed,
@@ -49,12 +48,10 @@ from .lazy import (
 )
 from .perm import Perm, PermGroup, format_cycles, parse_cycles
 from .search import (
-    GapReport,
     ProbeReport,
     extract_basepoint,
     fp_basepoint_divider,
     gcd_filter,
-    parallelization_gap_search,
     probe_cancelling,
 )
 

@@ -92,11 +92,6 @@ class ProdBij:
         return tuple(inv)
 
     @property
-    def flat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(fwd, inv)``: the table and the table of f^-1, over the flat index."""
-        return self.fwd, self.inv
-
-    @property
     def entries(self) -> tuple[tuple[Entry, ...], ...]:
         """Nested rows, ``entries[c][a]`` = (b, c'), decoded from ``fwd`` on each call."""
         return tuple(tuple(self.apply(a, c) for a in range(self.n_a)) for c in range(self.n_c))

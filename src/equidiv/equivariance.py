@@ -70,7 +70,6 @@ class Certificate:
     verified_against: tuple[SymTriple, ...]
     reason: str  # "matching-found" | "half-fixed-witness" | "orbit-exhaustion"
     witness: SymTriple | None = None
-    orbits: tuple[Orbit, ...] | None = None
 
 
 def is_symmetry(f: ProdBij, t: SymTriple) -> bool:
@@ -402,8 +401,8 @@ def nonexistence_by_halffixed(
     h = h then beta (beta nontrivial) or alpha^-1 then h = h (alpha
     nontrivial) since h hits every value.
     """
-    for t in symmetries:  # a lazy symmetry's alpha is None: the identity on A
-        if (t.alpha is None or t.alpha.is_identity()) != t.beta.is_identity():
+    for t in symmetries:
+        if t.alpha.is_identity() != t.beta.is_identity():
             return t
     return None
 
@@ -437,14 +436,14 @@ def _decide(
     if witness is not None:
         return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
     pairs = pairs or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
-    orbits = tuple(pair_orbits(pairs, f.n_a, f.n_b))
+    orbits = pair_orbits(pairs, f.n_a, f.n_b)
     chosen = _orbit_union_matching(orbits, f.n_a, f.n_b, budget)
     if chosen is None:
-        return Certificate("not-exists", None, syms, "orbit-exhaustion", orbits=orbits)
+        return Certificate("not-exists", None, syms, "orbit-exhaustion")
     h = _matching_to_perm(chosen, f.n_a)
     if not _fixed_by_all(h, syms):  # soundness re-check over every listed triple
         raise AssertionError("solver produced a non-equivariant quotient (bug)")
-    return Certificate("exists", h, syms, "matching-found", orbits=orbits)
+    return Certificate("exists", h, syms, "matching-found")
 
 
 def equivariant_quotient(
@@ -456,15 +455,6 @@ def equivariant_quotient(
     # the generators' pairs generate the same group on A x B as all the pairs
     pairs = [(t.alpha, t.beta) for t in found.generators]
     return _decide(f, tuple(found), pairs, budget)
-
-
-def check_quotient(
-    f: ProdBij, group: PermGroup, h: Perm, budget: Budget | None = None
-) -> bool:
-    """True iff h is fixed by every symmetry of f over the given group."""
-    if h.degree != f.n_a:
-        raise ValueError("quotient degree mismatch")
-    return _fixed_by_all(h, stabilizer(f, group, budget))
 
 
 def nonexistence_from_symmetries(

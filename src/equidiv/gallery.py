@@ -57,9 +57,6 @@ class CayleyTable:
     def klein(cls) -> "CayleyTable":
         return cls(tuple(tuple(i ^ j for j in range(4)) for i in range(4)))
 
-    def left_translation(self, g: int) -> Perm:
-        return Perm(tuple(self.product[g][x] for x in range(self.n)))
-
     def right_translation(self, g: int) -> Perm:
         return Perm(tuple(self.product[x][g] for x in range(self.n)))
 
@@ -96,6 +93,8 @@ def checkered_product(
     """
     if sigma.fixed_points():
         raise ValueError("sigma must have no fixed points")
+    if not sigma.degree:
+        raise ValueError("sigma must move at least one point")
     if c_labels is None:
         c_labels = tuple(str(i) for i in range(sigma.degree))
     c_labels = tuple(c_labels)

@@ -10,7 +10,7 @@ bijectivity is a finite case analysis and is verified on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .perm import Perm
 
@@ -52,7 +52,6 @@ class LazySymmetry:
 
     beta: SymbolPerm
     gamma: Perm
-    alpha: None = None  # the A side is the positive integers; always identity
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,6 @@ class LazyBij:
         if n <= self.width:
             return head[n - 1]
         return (n - self.width, row)
-
-    def eval_label(self, n: int, label: str) -> tuple[object, str]:
-        v, c = self.eval(n, self.c_labels.index(label))
-        return v, self.c_labels[c]
 
     def printed_symmetry(self) -> LazySymmetry:
         return LazySymmetry(self.beta_on_symbols, self.gamma)
@@ -211,7 +206,8 @@ def build_counterexample(gamma: Perm, c_labels: Sequence[str]) -> LazyBij:
     lengths = {len(c) for c in gamma.cycles() if len(c) > 1}
     if len(lengths) != 1:
         raise ValueError(
-            "nontrivial cycles must share one length; apply semiregular_power first"
+            "nontrivial cycles of gamma differ in length; use a power of gamma"
+            " whose nontrivial cycles all have one length"
         )
     moved = [i for i in range(gamma.degree) if gamma(i) != i]
     symbol: dict[int, str] = {x: _symbol(k) for k, x in enumerate(moved)}

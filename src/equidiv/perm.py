@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, FormatError
@@ -94,40 +93,6 @@ class Perm:
     def fixed_points(self) -> set[int]:
         return {i for i, j in enumerate(self.images) if i == j}
 
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.degree else 1
-
-    def is_semiregular(self) -> bool:
-        """True iff nontrivial and all cycles share one length > 1 (no fixed points)."""
-        if self.is_identity():
-            return False
-        lengths = {len(c) for c in self.cycles()}
-        return len(lengths) == 1
-
-    def semiregular_power(self) -> "Perm":
-        """The power whose nontrivial cycles all have one prime length.
-
-        Raises to the m/p-th power, where m is the order and p its smallest
-        prime divisor.  The result is nontrivial; it may have fixed points.
-        """
-        if self.is_identity():
-            raise ValueError("identity has no semiregular power")
-        m = self.order()
-        p = _smallest_prime_divisor(m)
-        result = Perm.identity(self.degree)
-        for _ in range(m // p):
-            result = result.then(self)
-        return result
-
-
-def _smallest_prime_divisor(m: int) -> int:
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += 1
-    return m
-
 
 @dataclass
 class PermGroup:
@@ -202,16 +167,6 @@ class PermGroup:
             frontier = new
         self._elements = sorted(seen, key=lambda p: p.images)
         return self._elements
-
-    def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
-        return len(self.elements(cap))
-
-    def global_fixed_points(self, cap: int = DEFAULT_GROUP_CAP) -> set[int]:
-        """Points fixed by every element of the group."""
-        fixed = set(range(self.degree))
-        for g in self.elements(cap):
-            fixed &= g.fixed_points()
-        return fixed
 
 
 # -- cycle notation -----------------------------------------------------------

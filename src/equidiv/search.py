@@ -16,7 +16,7 @@ from math import factorial, gcd
 from typing import Callable, Sequence
 
 from .bijection import ProdBij
-from .division import fp_divide, parallelize
+from .division import fp_divide
 from .equivariance import Budget, Certificate, equivariant_quotient
 from .errors import BudgetExceeded, EquidivError
 from .gallery import shift_table
@@ -72,23 +72,23 @@ def _sampled(n_a: int, n_c: int, mode: str, count: int, seed: int) -> list:
     return out
 
 
-def _scan_chunk(args) -> list[int]:
-    """Indices (within the chunk's index space) of counterexamples."""
+@dataclass(frozen=True)
+class ProbeCounterexample:
+    index: int
+    bij: ProdBij
+    certificate: Certificate
+
+
+def _scan_chunk(args) -> list[ProbeCounterexample]:
+    """The counterexamples of one chunk, indexed in the whole scan's index space."""
     n_a, n_c, group, mode, flats, base, node_limit = args
     hits = []
     for off, flat in enumerate(flats):
         f = _decode(flat, n_a, n_c, mode)
         cert = equivariant_quotient(f, group, Budget(node_limit))
         if cert.verdict == "not-exists":
-            hits.append(base + off)
+            hits.append(ProbeCounterexample(base + off, f, cert))
     return hits
-
-
-@dataclass(frozen=True)
-class ProbeCounterexample:
-    index: int
-    bij: ProdBij
-    certificate: Certificate
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def probe_cancelling(
 
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(flats) < 2 * jobs:
-        hit_indices = _scan_chunk((n_a, n_c, group, mode, flats, 0, node_limit))
+        cexs = _scan_chunk((n_a, n_c, group, mode, flats, 0, node_limit))
     else:
         size = (len(flats) + jobs - 1) // jobs
         chunks = [
@@ -167,62 +167,10 @@ def probe_cancelling(
             for i in range(0, len(flats), size)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hit_indices = [i for part in pool.map(_scan_chunk, chunks) for i in part]
-
-    cexs = []
-    for i in hit_indices:
-        f = _decode(flats[i], n_a, n_c, mode)
-        cexs.append(
-            ProbeCounterexample(i, f, equivariant_quotient(f, group, Budget(node_limit)))
-        )
+            cexs = [cex for part in pool.map(_scan_chunk, chunks) for cex in part]
     return ProbeReport(
         n_a, n_c, group_name, mode, coverage, used_seed, total, tuple(cexs)
     )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Bijections with a quotient whose parallelization has none."""
-
-    n_a: int
-    n_c: int
-    group_name: str
-    total: int
-    gaps: tuple[ProbeCounterexample, ...]  # certificate is the parallelization's
-
-    def render(self) -> str:
-        lines = [
-            f"parallelization-gap nA {self.n_a} nC {self.n_c} group {self.group_name}"
-        ]
-        for g in self.gaps:
-            lines.append(f"gap {g.index} cert gap-{g.index:06d}.cert")
-        if self.gaps:
-            lines.append(f"summary gaps {len(self.gaps)} of {self.total}")
-        else:
-            lines.append(f"summary none found at this size (scanned {self.total})")
-        return "\n".join(lines) + "\n"
-
-
-def parallelization_gap_search(
-    n_a: int,
-    n_c: int,
-    group: PermGroup,
-    *,
-    group_name: str = "?",
-    node_limit: int = 10**7,
-) -> GapReport:
-    total = _total(n_a, n_c, "all")
-    if total > ALL_MODE_CAP:
-        raise BudgetExceeded(f"{total} candidates exceeds cap {ALL_MODE_CAP}")
-    gaps = []
-    for i, flat in enumerate(_candidates(n_a, n_c, "all")):
-        f = ProdBij.from_flat(flat, n_a, n_c)
-        if equivariant_quotient(f, group, Budget(node_limit)).verdict != "exists":
-            continue
-        bar_cert = equivariant_quotient(parallelize(f), group, Budget(node_limit))
-        if bar_cert.verdict == "not-exists":
-            gaps.append(ProbeCounterexample(i, f, bar_cert))
-    return GapReport(n_a, n_c, group_name, total, tuple(gaps))
 
 
 # -- basepoint extraction -----------------------------------------------------

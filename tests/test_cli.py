@@ -188,6 +188,12 @@ class TestGallery:
         code, out, _ = run(capsys, "gallery", "checkered", "(a,b,c)(d,e)")
         assert code == 0 and "bij nA 12 nB 12 nC 5" in out
 
+    def test_checkered_rejects_empty_sigma(self, capsys):
+        # degree 0 would give a 1x0 table that no reader accepts
+        code, out, err = run(capsys, "gallery", "checkered", "()")
+        assert code == 3 and out == ""
+        assert err == "error: sigma must move at least one point\n"
+
     def test_thm4(self, capsys):
         code, out, _ = run(capsys, "gallery", "thm4", "(a,b)", "--window", "3")
         assert code == 0

@@ -12,7 +12,6 @@ from equidiv import (
     SymTriple,
     all_equivariant_quotients,
     apply_pair,
-    check_quotient,
     equivariant_quotient,
     is_symmetry,
     nonexistence_by_halffixed,
@@ -130,7 +129,9 @@ class TestQuotientDecision:
             f = random_bij(rng, 4, 2)
             cert = equivariant_quotient(f, PermGroup.trivial(2))
             assert cert.verdict == "exists"
-            assert check_quotient(f, PermGroup.trivial(2), cert.quotient)
+            h = cert.quotient
+            for t in stabilizer(f, PermGroup.trivial(2)):
+                assert apply_pair(h, t.alpha, t.beta) == h
 
     def test_found_quotient_is_equivariant(self):
         rng = random.Random(6)
@@ -138,7 +139,9 @@ class TestQuotientDecision:
             f = random_bij(rng, 3, 3)
             cert = equivariant_quotient(f, PermGroup.symmetric(3))
             if cert.verdict == "exists":
-                assert check_quotient(f, PermGroup.symmetric(3), cert.quotient)
+                h = cert.quotient
+                for t in stabilizer(f, PermGroup.symmetric(3)):
+                    assert apply_pair(h, t.alpha, t.beta) == h
 
     def test_agrees_with_bruteforce_exhaustive_2x2(self):
         import itertools

@@ -56,7 +56,6 @@ class TestCayleyTable:
 
     def test_translations(self):
         t = CayleyTable.cyclic(3)
-        assert t.left_translation(1) == Perm((1, 2, 0))
         assert t.right_translation(2) == Perm((2, 0, 1))
 
 
@@ -84,7 +83,7 @@ class TestRegularRep:
         t = CayleyTable.cyclic(4)
         f = regular_rep(t)
         for g in range(4):
-            lt = t.left_translation(g)
+            lt = Perm(t.product[g])
             assert is_symmetry(f, SymTriple(lt, lt, Perm.identity(4)))
 
 
@@ -101,6 +100,8 @@ class TestCheckered:
     def test_rejects_fixed_points(self):
         with pytest.raises(ValueError):
             checkered_product(parse_cycles("(a,b)", "abc"), ("a", "b", "c"))
+        with pytest.raises(ValueError):
+            checkered_product(Perm.identity(0), ())
 
     def test_every_triple_nontrivial_gamma(self):
         prod = checkered_product(parse_cycles("(a,b)(c,d)", "abcd"), tuple("abcd"))

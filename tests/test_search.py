@@ -1,13 +1,18 @@
+import itertools
+
 import pytest
 
 from equidiv import (
     BudgetExceeded,
     PermGroup,
+    ProdBij,
+    equivariant_quotient,
     extract_basepoint,
     fp_basepoint_divider,
     gcd_filter,
-    parallelization_gap_search,
+    parallelize,
     probe_cancelling,
+    render_certificate,
 )
 from equidiv.corpus import (
     check_basepoint_extraction,
@@ -73,6 +78,12 @@ class TestProbe:
         serial = probe_cancelling(2, 2, group, "all", jobs=1, group_name="full")
         parallel = probe_cancelling(2, 2, group, "all", jobs=2, group_name="full")
         assert serial.render() == parallel.render()
+        assert [(c.index, c.bij) for c in serial.counterexamples] == [
+            (c.index, c.bij) for c in parallel.counterexamples
+        ]
+        assert [render_certificate(c.certificate) for c in serial.counterexamples] == [
+            render_certificate(c.certificate) for c in parallel.counterexamples
+        ]
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         import equidiv.search as search
@@ -126,11 +137,12 @@ class TestProbe:
 
 class TestGapSearch:
     def test_no_gap_at_2x2(self):
-        # a bijection and its parallelization get the same verdict here
-        report = parallelization_gap_search(2, 2, PermGroup.symmetric(2), group_name="full")
-        assert report.total == 24
-        assert report.gaps == ()
-        assert "summary none found at this size (scanned 24)" in report.render()
+        # probe --mode parallel relies on it: if f has a quotient, so has parallelize(f)
+        for group in (PermGroup.symmetric(2), PermGroup.trivial(2)):
+            for flat in itertools.permutations(range(4)):
+                f = ProdBij.from_flat(flat, 2, 2)
+                if equivariant_quotient(f, group).verdict == "exists":
+                    assert equivariant_quotient(parallelize(f), group).verdict == "exists"
 
 
 class TestBasepointExtraction:
