@@ -37,7 +37,6 @@ from .gallery import (
 )
 from .lazy import (
     LazyBij,
-    LazySymmetry,
     SymbolPerm,
     build_counterexample,
     lazy_apply_symbols,

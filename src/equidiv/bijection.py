@@ -6,8 +6,7 @@ A -> B is just a :class:`~equidiv.perm.Perm`.
 
 A table is stored only as a flat permutation: cell (a, c) has index c*nA + a
 (likewise for B x C) and ``fwd[c*nA + a] = c'*nA + b`` when f(a, c) = (b, c').
-Its inverse ``inv`` is built on first use and cached.  Nested ``(b, c')`` rows
-are only the constructor's input and the derived ``entries`` view.
+Its inverse ``inv`` is built on first use and cached.
 """
 
 from __future__ import annotations
@@ -19,45 +18,17 @@ from typing import Iterable, Sequence
 from .errors import FormatError
 from .perm import Perm
 
-Entry = tuple[int, int]  # (b, c')
-
 
 @dataclass(frozen=True, init=False)
 class ProdBij:
-    """f : A x C -> B x C as the flat permutation ``fwd``; see the module docstring."""
+    """f : A x C -> B x C as the flat permutation ``fwd``; see the module docstring.
+
+    Built only by :meth:`from_flat`, which checks ``fwd``.
+    """
 
     n_a: int
     n_c: int
     fwd: tuple[int, ...]
-
-    def __init__(self, n_a: int, n_c: int, entries: Iterable[Iterable[Entry]]) -> None:
-        rows = [tuple(row) for row in entries]
-        if n_a < 0 or n_c < 0:
-            raise ValueError("negative size")
-        if len(rows) != n_c or any(len(r) != n_a for r in rows):
-            raise ValueError("table shape does not match sizes")
-        fwd = []
-        for row in rows:
-            for b, c2 in row:
-                if not (0 <= b < n_a and 0 <= c2 < n_c):
-                    raise ValueError(f"entry out of range: {(b, c2)}")
-                fwd.append(c2 * n_a + b)
-        self._store(n_a, n_c, fwd)
-
-    def _store(self, n_a: int, n_c: int, flat: Iterable[int]) -> None:
-        """Set the fields once flat is checked to be a permutation of the cells."""
-        fwd = tuple(flat)
-        if n_a < 0 or n_c < 0:
-            raise ValueError("negative size")
-        if len(fwd) != n_a * n_c:
-            raise ValueError("table shape does not match sizes")
-        if fwd and not 0 <= min(fwd) <= max(fwd) < len(fwd):
-            raise ValueError("flat index out of range")
-        if len(set(fwd)) != len(fwd):
-            raise ValueError("not a bijection")
-        object.__setattr__(self, "n_a", n_a)
-        object.__setattr__(self, "n_c", n_c)
-        object.__setattr__(self, "fwd", fwd)
 
     @property
     def n_b(self) -> int:
@@ -79,8 +50,19 @@ class ProdBij:
     @classmethod
     def from_flat(cls, flat: Iterable[int], n_a: int, n_c: int) -> "ProdBij":
         """The table whose ``fwd`` is ``flat``, a permutation of 0..nA*nC-1."""
+        fwd = tuple(flat)
+        if n_a < 0 or n_c < 0:
+            raise ValueError("negative size")
+        if len(fwd) != n_a * n_c:
+            raise ValueError("table shape does not match sizes")
+        if fwd and not 0 <= min(fwd) <= max(fwd) < len(fwd):
+            raise ValueError("flat index out of range")
+        if len(set(fwd)) != len(fwd):
+            raise ValueError("not a bijection")
         f = cls.__new__(cls)
-        f._store(n_a, n_c, flat)
+        object.__setattr__(f, "n_a", n_a)
+        object.__setattr__(f, "n_c", n_c)
+        object.__setattr__(f, "fwd", fwd)
         return f
 
     @cached_property
@@ -90,17 +72,6 @@ class ProdBij:
         for s, t in enumerate(self.fwd):
             inv[t] = s
         return tuple(inv)
-
-    @property
-    def entries(self) -> tuple[tuple[Entry, ...], ...]:
-        """Nested rows, ``entries[c][a]`` = (b, c'), decoded from ``fwd`` on each call."""
-        return tuple(tuple(self.apply(a, c) for a in range(self.n_a)) for c in range(self.n_c))
-
-    def apply(self, a: int, c: int) -> Entry:
-        if not (0 <= a < self.n_a and 0 <= c < self.n_c):  # else another cell's index
-            raise IndexError(f"cell {(a, c)} out of range")
-        t = self.fwd[c * self.n_a + a]
-        return t % self.n_a, t // self.n_a
 
     def row(self, c: int) -> tuple[int, ...]:
         """First components of f(., c); not a permutation in general."""
@@ -171,10 +142,6 @@ class PartialMap:
         if len(set(a_side)) != len(a_side) or len(set(b_side)) != len(b_side):
             raise ValueError("partial map is not injective")
 
-    @classmethod
-    def empty(cls) -> "PartialMap":
-        return cls(())
-
 
 @dataclass(frozen=True)
 class SubtractResult:
@@ -226,7 +193,7 @@ def parse_bijection(text: str) -> BijFile:
         raise FormatError("nA and nB must agree")
     labels: dict[str, tuple[str, ...]] = {}
     rows: dict[int, list[int]] = {}  # flat cells c'*nA + b
-    out_of_range: dict[int, Entry] = {}  # first (b, c') out of range, per row
+    out_of_range: dict[int, tuple[int, int]] = {}  # first (b, c') out of range, per row
     for line in lines[2:]:
         if line.startswith("labels "):
             rest = line[len("labels "):]
@@ -269,7 +236,9 @@ def parse_bijection(text: str) -> BijFile:
     for side, toks in labels.items():
         if len(toks) != expect[side]:
             raise FormatError(f"labels {side} has {len(toks)} entries, expected {expect[side]}")
-    if out_of_range:  # after every format check and in row order, as ProdBij reports it
+    # checked per entry because b >= nA can encode another cell's flat index
+    # (2:0 is cell (0, 1) at nA 2); reported after the format checks, row 0 first
+    if out_of_range:
         raise FormatError(f"entry out of range: {out_of_range[min(out_of_range)]}")
     try:
         bij = ProdBij.from_flat([t for c in range(n_c) for t in rows[c]], n_a, n_c)

@@ -15,6 +15,7 @@ from .bijection import BijFile, parse_bijection, serialize_bijection
 from .corpus import run_corpus
 from .division import fp_divide, parallelize
 from .equivariance import (
+    DEFAULT_NODE_LIMIT,
     Budget,
     equivariant_quotient,
     nonexistence_from_symmetries,
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stab", help="list all symmetries of a bijection")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--group", default="full")
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(fn=_cmd_stab)
 
     p = sub.add_parser("quotient", help="decide equivariant quotient existence")
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="full")
     p.add_argument("--symmetries", help="symmetry file: nonexistence-only subset mode")
     p.add_argument("--certificate", help="also write the certificate to this path")
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(fn=_cmd_quotient)
 
     p = sub.add_parser("gallery", help="emit a gallery instance")
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cert-dir")
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(fn=_cmd_probe)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification corpus")

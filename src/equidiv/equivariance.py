@@ -49,9 +49,6 @@ class SymTriple:
     beta: Perm
     gamma: Perm
 
-    def sort_key(self) -> tuple:
-        return (self.alpha.images, self.beta.images, self.gamma.images)
-
 
 @dataclass(frozen=True)
 class Orbit:
@@ -119,7 +116,7 @@ def _symmetry_chain(
     g0 = 2 * n_a
     n = g0 + n_c
     # fwd[c][a] = f(a, c) and bwd[c'][b] = f^-1(b, c') as points, read off the flat index
-    starts = range(0, n_a * n_c, n_a)
+    starts = [c * n_a for c in range(n_c)]  # not a range: its step n_a may be 0
     fwd = [[(n_a + t % n_a, g0 + t // n_a) for t in f.fwd[r:r + n_a]] for r in starts]
     bwd = [[(s % n_a, g0 + s // n_a) for s in f.inv[r:r + n_a]] for r in starts]
     label = _point_labels(f)

@@ -23,6 +23,8 @@ class CayleyTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "product", tuple(tuple(r) for r in self.product))
         n = len(self.product)
+        if n == 0:
+            raise ValueError("empty table: a group needs at least one element")
         if any(len(r) != n for r in self.product):
             raise ValueError("table must be square")
         rng = range(n)

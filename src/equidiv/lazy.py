@@ -47,14 +47,6 @@ class SymbolPerm:
 
 
 @dataclass(frozen=True)
-class LazySymmetry:
-    """(id on A, symbol permutation on B, gamma on C) fixing a lazy bijection."""
-
-    beta: SymbolPerm
-    gamma: Perm
-
-
-@dataclass(frozen=True)
 class LazyBij:
     """A bijection (positive integers) x C -> (symbols + positive integers) x C."""
 
@@ -119,9 +111,6 @@ class LazyBij:
         if n <= self.width:
             return head[n - 1]
         return (n - self.width, row)
-
-    def printed_symmetry(self) -> LazySymmetry:
-        return LazySymmetry(self.beta_on_symbols, self.gamma)
 
 
 def lazy_check_symmetry(lazy: LazyBij, beta: SymbolPerm, gamma: Perm) -> bool:

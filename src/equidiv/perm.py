@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, FormatError
 
-#: Default cap on group orders for closure enumeration.  All cases from the
+#: Cap on group orders for closure enumeration.  All cases from the
 #: source material are tiny; beyond the cap we refuse rather than truncate.
 DEFAULT_GROUP_CAP = 20160
 
@@ -139,18 +139,14 @@ class PermGroup:
         """
         return self.generators == PermGroup.symmetric(self.degree).generators
 
-    def elements(self, cap: int = DEFAULT_GROUP_CAP) -> list[Perm]:
+    def elements(self) -> list[Perm]:
         """All group elements, sorted by image sequence.
 
         Breadth-first closure of the generators.  Raises
-        :class:`BudgetExceeded` if the order exceeds ``cap``.
+        :class:`BudgetExceeded` if the order exceeds ``DEFAULT_GROUP_CAP``.
         """
         if self._elements is not None:
-            if len(self._elements) > cap:
-                raise BudgetExceeded(f"group order {len(self._elements)} exceeds cap {cap}")
             return self._elements
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
         ident = Perm.identity(self.degree)
         seen = {ident}
         frontier = [ident]
@@ -161,8 +157,8 @@ class PermGroup:
                     y = x.then(g)
                     if y not in seen:
                         seen.add(y)
-                        if len(seen) > cap:
-                            raise BudgetExceeded(f"group order exceeds cap {cap}")
+                        if len(seen) > DEFAULT_GROUP_CAP:
+                            raise BudgetExceeded(f"group order exceeds cap {DEFAULT_GROUP_CAP}")
                         new.append(y)
             frontier = new
         self._elements = sorted(seen, key=lambda p: p.images)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .bijection import ProdBij
 from .division import fp_divide
-from .equivariance import Budget, Certificate, equivariant_quotient
+from .equivariance import DEFAULT_NODE_LIMIT, Budget, Certificate, equivariant_quotient
 from .errors import BudgetExceeded, EquidivError
 from .gallery import shift_table
 from .perm import Perm, PermGroup
@@ -131,12 +131,14 @@ def probe_cancelling(
     seed: int = 0,
     jobs: int = 1,
     group_name: str = "?",
-    node_limit: int = 10**7,
+    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> ProbeReport:
     """Scan bijections at a fixed size and collect not-exists certificates.
 
     At most ``os.cpu_count()`` worker processes run, whatever ``jobs`` asks.
     """
+    if n_a < 0 or n_c < 0:
+        raise ValueError(f"nA and nC must be >= 0, got nA {n_a} nC {n_c}")
     if mode not in ("all", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
     if group.degree != n_c:

@@ -12,6 +12,27 @@ def random_bij(rng: random.Random, n_a: int, n_c: int) -> ProdBij:
     return ProdBij.from_flat(flat, n_a, n_c)
 
 
+def from_nested(n_a: int, n_c: int, rows) -> ProdBij:
+    """The table with f(a, c) = rows[c][a] = (b, c'), by definition.
+
+    Each (b, c') is range-checked first, because b >= nA can encode another
+    cell's flat index; ``from_flat`` checks the rest.
+    """
+    flat = []
+    for row in rows:
+        for b, c2 in row:
+            if not (0 <= b < n_a and 0 <= c2 < n_c):
+                raise ValueError(f"entry out of range: {(b, c2)}")
+            flat.append(c2 * n_a + b)
+    return ProdBij.from_flat(flat, n_a, n_c)
+
+
+def cell(f: ProdBij, a: int, c: int) -> tuple[int, int]:
+    """f(a, c) = (b, c'), decoded from the flat index."""
+    t = f.fwd[c * f.n_a + a]
+    return t % f.n_a, t // f.n_a
+
+
 def random_parallel(rng: random.Random, n_a: int, n_c: int) -> ProdBij:
     return ProdBij.parallel_from_rows(
         [rng.sample(range(n_a), n_a) for _ in range(n_c)]

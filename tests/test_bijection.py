@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from equidiv import FormatError, PartialMap, Perm, ProdBij, parse_bijection, serialize_bijection
 
-from conftest import random_bij, random_perm
+from conftest import cell, from_nested, random_bij, random_perm
 
 sizes = st.tuples(st.integers(1, 4), st.integers(1, 3))
 
@@ -29,8 +29,8 @@ def nested_tables(draw):
     return n_a, n_c, [[(b, c) for b in row] for c, row in enumerate(perms)]
 
 
-# -- the nested-table operations ProdBij had before it stored only the flat
-# index, kept as by-definition references for the flat ones
+# -- by-definition references for the flat operations, on nested rows
+# rows[c][a] = (b, c') (built into a table by conftest.from_nested)
 
 
 def _inverse_reference(n_a, n_c, rows):
@@ -39,7 +39,7 @@ def _inverse_reference(n_a, n_c, rows):
         for a in range(n_a):
             b, c2 = rows[c][a]
             inv[c2][b] = (a, c)
-    return ProdBij(n_a, n_c, tuple(tuple(r) for r in inv))
+    return from_nested(n_a, n_c, inv)
 
 
 def _transform_reference(n_a, n_c, rows, alpha, beta, gamma):
@@ -48,7 +48,7 @@ def _transform_reference(n_a, n_c, rows, alpha, beta, gamma):
         for a in range(n_a):
             b, c2 = rows[c][a]
             out[gamma(c)][alpha(a)] = (beta(b), gamma(c2))
-    return ProdBij(n_a, n_c, tuple(tuple(r) for r in out))
+    return from_nested(n_a, n_c, out)
 
 
 def _serialize_reference(n_a, n_c, rows):
@@ -62,11 +62,11 @@ def _serialize_reference(n_a, n_c, rows):
 class TestProdBij:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
-            ProdBij(2, 1, (((0, 0), (0, 0)),))
+            from_nested(2, 1, (((0, 0), (0, 0)),))
         with pytest.raises(ValueError):
-            ProdBij(2, 1, (((0, 0), (2, 0)),))
+            from_nested(2, 1, (((0, 0), (2, 0)),))
         with pytest.raises(ValueError):
-            ProdBij(2, 2, (((0, 0), (1, 0)),))  # wrong shape
+            from_nested(2, 2, (((0, 0), (1, 0)),))  # wrong shape
 
     @pytest.mark.parametrize(
         "n_a,n_c,entries,message",
@@ -85,26 +85,31 @@ class TestProdBij:
         ],
     )
     def test_rejection_messages(self, n_a, n_c, entries, message):
+        # the nested reference range-checks each (b, c'); from_flat the rest
         with pytest.raises(ValueError) as exc:
-            ProdBij(n_a, n_c, entries)
+            from_nested(n_a, n_c, entries)
         assert str(exc.value) == message
 
     def test_list_input_becomes_tuples(self):
-        f = ProdBij(2, 2, [[[1, 1], [0, 0]], [[1, 0], [0, 1]]])
-        assert f.entries == (((1, 1), (0, 0)), ((1, 0), (0, 1)))
-        assert type(f.entries[0]) is tuple and type(f.entries[0][0]) is tuple
-        assert f == ProdBij(2, 2, f.entries)
+        f = ProdBij.from_flat([3, 0, 1, 2], 2, 2)
+        assert type(f.fwd) is tuple
+        assert f == ProdBij.from_flat(iter(f.fwd), 2, 2)
+        assert f == from_nested(2, 2, [[[1, 1], [0, 0]], [[1, 0], [0, 1]]])
 
     def test_no_public_attribute_added(self):
         f = ProdBij.identity(3, 2)
         assert {k for k in vars(f) if not k.startswith("_")} == {"n_a", "n_c", "fwd"}
+
+    def test_built_only_from_flat(self):
+        with pytest.raises(TypeError):
+            ProdBij(2, 1, (((0, 0), (1, 0)),))
 
     def test_flat_matches_definition_for_every_constructor(self):
         def by_definition(f):
             fwd = [0] * (f.n_a * f.n_c)
             for c in range(f.n_c):
                 for a in range(f.n_a):
-                    b, c2 = f.apply(a, c)
+                    b, c2 = cell(f, a, c)
                     fwd[c * f.n_a + a] = c2 * f.n_a + b
             inv = [0] * len(fwd)
             for s, t in enumerate(fwd):
@@ -120,7 +125,7 @@ class TestProdBij:
             ProdBij.parallel_from_rows([rng.sample(range(5), 5) for _ in range(3)]),
             f.transform(random_perm(rng, 5), random_perm(rng, 5), random_perm(rng, 3)),
             parse_bijection(serialize_bijection(f)).bij,
-            ProdBij(5, 3, [[list(e) for e in row] for row in f.entries]),
+            from_nested(5, 3, [[list(cell(f, a, c)) for a in range(5)] for c in range(3)]),
         ]
         for g in tables:
             assert (g.fwd, g.inv) == by_definition(g)
@@ -128,9 +133,8 @@ class TestProdBij:
     @given(nested_tables(), st.data())
     def test_flat_readers_match_nested_references(self, table, data):
         n_a, n_c, rows = table
-        f = ProdBij(n_a, n_c, rows)
-        assert f.entries == tuple(tuple(r) for r in rows)
-        assert all(f.apply(a, c) == rows[c][a] for c in range(n_c) for a in range(n_a))
+        f = from_nested(n_a, n_c, rows)
+        assert all(cell(f, a, c) == rows[c][a] for c in range(n_c) for a in range(n_a))
         assert [f.row(c) for c in range(n_c)] == [tuple(b for b, _ in r) for r in rows]
         assert f.is_parallel() == all(c2 == c for c in range(n_c) for _, c2 in rows[c])
         assert f.inverse() == _inverse_reference(n_a, n_c, rows)
@@ -156,6 +160,13 @@ class TestProdBij:
             ProdBij.from_flat(flat, 2, 2)
         assert str(exc.value) == message
 
+    # (-1, -2) has a product, 2, that the flat table's length matches
+    @pytest.mark.parametrize("n_a,n_c,flat", [(-1, 0, ()), (2, -1, ()), (-1, -2, (0, 1))])
+    def test_from_flat_rejects_negative_size(self, n_a, n_c, flat):
+        with pytest.raises(ValueError) as exc:
+            ProdBij.from_flat(flat, n_a, n_c)
+        assert str(exc.value) == "negative size"
+
     def test_parallel_rows_must_be_permutations(self):
         # flat 0 2 3 1 is a permutation, but b = 2 and b = -1 are not in A
         with pytest.raises(ValueError):
@@ -170,18 +181,12 @@ class TestProdBij:
         with pytest.raises(IndexError):
             ProdBij.identity(2, 2).row(2)
 
-    @pytest.mark.parametrize("a,c", [(2, 0), (0, 2), (-1, 0)])
-    def test_apply_range(self, a, c):
-        # flat index c*nA + a of (2, 0) is cell (0, 1), which must not be read
-        with pytest.raises(IndexError):
-            ProdBij.identity(2, 2).apply(a, c)
-
     @given(bijections())
     def test_from_flat_roundtrip(self, f):
         flat = [0] * (f.n_a * f.n_c)
         for c in range(f.n_c):
             for a in range(f.n_a):
-                b, c2 = f.apply(a, c)
+                b, c2 = cell(f, a, c)
                 flat[c * f.n_a + a] = c2 * f.n_a + b
         assert ProdBij.from_flat(flat, f.n_a, f.n_c) == f
 
@@ -197,8 +202,7 @@ class TestProdBij:
         g = f.inverse()
         for c in range(f.n_c):
             for a in range(f.n_a):
-                b, c2 = f.apply(a, c)
-                assert g.apply(b, c2) == (a, c)
+                assert cell(g, *cell(f, a, c)) == (a, c)
         assert g.inverse() == f
 
     @given(bijections())
@@ -236,7 +240,7 @@ class TestSubtract:
         res = f.subtract(PartialMap(((0, 0),)))
         assert res.bij.n_a == 1
         # survivor must still be a bijection onto (B - {0}) x C
-        outs = {res.bij.apply(0, c) for c in range(2)}
+        outs = {cell(res.bij, 0, c) for c in range(2)}
         assert outs == {(0, 0), (0, 1)}
 
     def test_covers_exactly(self):

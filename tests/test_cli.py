@@ -22,6 +22,14 @@ def xor_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def empty_a_file(tmp_path):
+    """A table with A empty; only C must be non-empty."""
+    path = tmp_path / "empty-a.eqd"
+    path.write_text("EQUIDIV 1\nbij nA 0 nB 0 nC 2\nrow 0:\nrow 1:\n")
+    return str(path)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -113,6 +121,12 @@ class TestStab:
         code, _, err = run(capsys, "stab", "--in", str(ident), "--budget", "2")
         assert code == 4 and "exceeded" in err
 
+    @pytest.mark.parametrize("group,gammas", [("full", ["()", "(0,1)"]), ("trivial", ["()"])])
+    def test_empty_a(self, capsys, empty_a_file, group, gammas):
+        code, out, _ = run(capsys, "stab", "--in", empty_a_file, "--group", group)
+        assert code == 0
+        assert out.splitlines() == [x for g in gammas for x in ("alpha ()", "beta ()", f"gamma {g}")]
+
 
 class TestQuotient:
     def test_not_exists_full(self, capsys, xor_file):
@@ -126,6 +140,12 @@ class TestQuotient:
         assert code == 0
         assert out.splitlines()[0] == "verdict exists"
         assert "quotient: 0 1" in out
+
+    @pytest.mark.parametrize("group", ["full", "trivial"])
+    def test_empty_a_exists(self, capsys, empty_a_file, group):
+        code, out, _ = run(capsys, "quotient", "--in", empty_a_file, "--group", group)
+        assert code == 0
+        assert out.splitlines()[:2] == ["verdict exists", "quotient: "]
 
     def test_full_group_has_no_order_cap(self, capsys, tmp_path):
         # |S_8| = 40320 is over the group cap, but full never enumerates S_C
@@ -183,6 +203,14 @@ class TestGallery:
         table.write_text("0 1\n0 1\n")
         code, _, err = run(capsys, "gallery", "regular-rep", str(table))
         assert code == 3
+
+    def test_empty_group_rejected(self, capsys, tmp_path):
+        table = tmp_path / "empty.txt"
+        table.write_text("# no rows\n")
+        for argv in (["cyclic", "0"], ["regular-rep", str(table)]):
+            code, out, err = run(capsys, "gallery", *argv)
+            assert code == 3 and out == ""
+            assert err == "error: empty table: a group needs at least one element\n"
 
     def test_checkered(self, capsys):
         code, out, _ = run(capsys, "gallery", "checkered", "(a,b,c)(d,e)")
@@ -245,6 +273,17 @@ class TestProbeCli:
         code, out, err = run(capsys, "probe", "--nA", "2", "--nC", "2", "--sample", "-3")
         assert code == 3 and out == ""
         assert err == "error: sample must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize("n_a,n_c", [("-1", "2"), ("2", "-1")])
+    def test_negative_size(self, capsys, n_a, n_c):
+        code, out, err = run(capsys, "probe", "--nA", n_a, "--nC", n_c)
+        assert code == 3 and out == ""
+        assert err == f"error: nA and nC must be >= 0, got nA {n_a} nC {n_c}\n"
+
+    @pytest.mark.parametrize("group", ["full", "trivial"])
+    def test_empty_a(self, capsys, group):
+        code, out, _ = run(capsys, "probe", "--nA", "0", "--nC", "3", "--group", group)
+        assert code == 0 and out.splitlines()[-1] == "summary counterexamples 0 of 1"
 
     def test_cap_exit(self, capsys):
         code, _, err = run(capsys, "probe", "--nA", "4", "--nC", "4")

@@ -16,7 +16,7 @@ from equidiv import (
 )
 from equidiv.corpus import two_by_two_counterexample, two_row_nonparallel
 
-from conftest import random_bij, random_perm
+from conftest import from_nested, random_bij, random_perm
 
 
 def _cycle_core(fun: list[int]) -> list[int]:
@@ -113,7 +113,7 @@ def _one_point_per_round(rng: random.Random, n_a: int, n_c: int) -> tuple[ProdBi
     rest = [(b, c) for c in range(2, n_c) for b in range(n_a)]
     rng.shuffle(rest)
     rows += [rest[i:i + n_a] for i in range(0, len(rest), n_a)]
-    f = ProdBij(n_a, n_c, rows)
+    f = from_nested(n_a, n_c, rows)
     gamma = random_perm(rng, n_c)
     return f.transform(random_perm(rng, n_a), random_perm(rng, n_a), gamma), gamma(0)
 

@@ -36,6 +36,7 @@ class TestCayleyTable:
             ((0, 1), (0, 1)),  # no two-sided identity
             ((0, 1), (1, 1)),  # no inverse for 1
             ((0, 1, 2), (1, 2, 0)),  # not square
+            (),  # no element
         ],
     )
     def test_rejects_non_groups(self, rows):

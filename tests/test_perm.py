@@ -108,7 +108,7 @@ class TestPermGroup:
 
     def test_elements_cap(self):
         with pytest.raises(BudgetExceeded):
-            PermGroup.symmetric(5).elements(cap=100)
+            PermGroup.symmetric(8).elements()  # 40,320 > DEFAULT_GROUP_CAP
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,11 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_cancelling(2, 3, PermGroup.symmetric(2), "all")
 
+    def test_rejects_negative_size(self):
+        # checked before the group degree, which -1 cannot match
+        with pytest.raises(ValueError, match=r"^nA and nC must be >= 0, got nA 2 nC -1$"):
+            probe_cancelling(2, -1, PermGroup.symmetric(2), "all")
+
     def test_cap_without_sampling(self):
         with pytest.raises(BudgetExceeded):
             probe_cancelling(4, 4, PermGroup.symmetric(4), "all")
