@@ -191,6 +191,8 @@ def parse_bijection(text: str) -> BijFile:
         raise FormatError(f"malformed bij line: {lines[1]!r}") from exc
     if n_a != n_b:
         raise FormatError("nA and nB must agree")
+    if n_c == 0:
+        raise FormatError("nC must be >= 1: C must be non-empty")
     labels: dict[str, tuple[str, ...]] = {}
     rows: dict[int, list[int]] = {}  # flat cells c'*nA + b
     out_of_range: dict[int, tuple[int, int]] = {}  # first (b, c') out of range, per row

@@ -38,38 +38,24 @@ def gcd_filter(n: int, k: int) -> bool:
 # "all" mode walks every bijection of A x C onto B x C as a flat permutation
 # (flat index = c*nA + a).  "parallel" mode walks tuples of nC row
 # permutations, which suffices for cancellation verdicts because any finite
-# bijection and its parallelization stand or fall together.
+# bijection and its parallelization stand or fall together.  A sampled scan
+# walks seeded draws of either kind.  Nothing holds the candidates: a worker
+# rebuilds the stream and skips to its index range, which costs far less than
+# the decisions in it, so memory does not grow with the candidate count.
 
 
-def _decode(flat, n_a: int, n_c: int, mode: str) -> ProdBij:
-    if mode == "all":
-        return ProdBij.from_flat(flat, n_a, n_c)
-    return ProdBij.parallel_from_rows(flat)
-
-
-def _candidates(n_a: int, n_c: int, mode: str):
+def _stream(n_a: int, n_c: int, mode: str, sample: int | None, seed: int):
+    """The scan's candidates in index order, undecoded."""
+    if sample is not None:
+        rng = random.Random(seed)
+        if mode == "all":
+            return (rng.sample(range(n_a * n_c), n_a * n_c) for _ in range(sample))
+        return (
+            [rng.sample(range(n_a), n_a) for _ in range(n_c)] for _ in range(sample)
+        )
     if mode == "all":
         return itertools.permutations(range(n_a * n_c))
     return itertools.product(itertools.permutations(range(n_a)), repeat=n_c)
-
-
-def _total(n_a: int, n_c: int, mode: str) -> int:
-    if mode == "all":
-        return factorial(n_a * n_c)
-    return factorial(n_a) ** n_c
-
-
-def _sampled(n_a: int, n_c: int, mode: str, count: int, seed: int) -> list:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        if mode == "all":
-            out.append(tuple(rng.sample(range(n_a * n_c), n_a * n_c)))
-        else:
-            out.append(
-                tuple(tuple(rng.sample(range(n_a), n_a)) for _ in range(n_c))
-            )
-    return out
 
 
 @dataclass(frozen=True)
@@ -80,14 +66,18 @@ class ProbeCounterexample:
 
 
 def _scan_chunk(args) -> list[ProbeCounterexample]:
-    """The counterexamples of one chunk, indexed in the whole scan's index space."""
-    n_a, n_c, group, mode, flats, base, node_limit = args
+    """The counterexamples among candidates start..stop-1 of the scan ``params``."""
+    (n_a, n_c, group, mode, sample, seed, node_limit), start, stop = args
+    candidates = itertools.islice(_stream(n_a, n_c, mode, sample, seed), start, stop)
     hits = []
-    for off, flat in enumerate(flats):
-        f = _decode(flat, n_a, n_c, mode)
+    for index, flat in enumerate(candidates, start):
+        if mode == "all":
+            f = ProdBij.from_flat(flat, n_a, n_c)
+        else:
+            f = ProdBij.parallel_from_rows(flat)
         cert = equivariant_quotient(f, group, Budget(node_limit))
         if cert.verdict == "not-exists":
-            hits.append(ProbeCounterexample(base + off, f, cert))
+            hits.append(ProbeCounterexample(index, f, cert))
     return hits
 
 
@@ -135,39 +125,39 @@ def probe_cancelling(
 ) -> ProbeReport:
     """Scan bijections at a fixed size and collect not-exists certificates.
 
-    At most ``os.cpu_count()`` worker processes run, whatever ``jobs`` asks.
+    ``jobs`` must be >= 1; at most ``os.cpu_count()`` worker processes run,
+    whatever it asks.
     """
     if n_a < 0 or n_c < 0:
         raise ValueError(f"nA and nC must be >= 0, got nA {n_a} nC {n_c}")
+    if n_c == 0:
+        raise ValueError("nC must be >= 1: C must be non-empty")
     if mode not in ("all", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
     if group.degree != n_c:
         raise ValueError("group degree must equal nC")
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
-    total = _total(n_a, n_c, mode)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if sample is None:
+        total = factorial(n_a * n_c) if mode == "all" else factorial(n_a) ** n_c
         cap = ALL_MODE_CAP if mode == "all" else PARALLEL_MODE_CAP
         if total > cap:
             raise BudgetExceeded(
                 f"{total} candidates exceeds {mode}-mode cap {cap}; use sampling"
             )
-        flats = list(_candidates(n_a, n_c, mode))
         coverage, used_seed = "exhaustive", None
     else:
-        flats = _sampled(n_a, n_c, mode, sample, seed)
-        total = sample
-        coverage, used_seed = "sampled", seed
+        total, coverage, used_seed = sample, "sampled", seed
 
+    params = (n_a, n_c, group, mode, sample, seed, node_limit)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(flats) < 2 * jobs:
-        cexs = _scan_chunk((n_a, n_c, group, mode, flats, 0, node_limit))
+    if jobs <= 1 or total < 2 * jobs:
+        cexs = _scan_chunk((params, 0, total))
     else:
-        size = (len(flats) + jobs - 1) // jobs
-        chunks = [
-            (n_a, n_c, group, mode, flats[i : i + size], i, node_limit)
-            for i in range(0, len(flats), size)
-        ]
+        size = (total + jobs - 1) // jobs
+        chunks = [(params, i, min(i + size, total)) for i in range(0, total, size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cexs = [cex for part in pool.map(_scan_chunk, chunks) for cex in part]
     return ProbeReport(

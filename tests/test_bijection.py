@@ -315,6 +315,8 @@ class TestFileFormat:
             "EQUIDIV 1\nbij nA 1 nB 1 nC 2\nlabels C: a a\nrow 0: 0:0\nrow 1: 0:1\n",
             "EQUIDIV 1\nbij nA 1 nB 1 nC 2\nlabels C: a b\nlabels C: b a\n"
             "row 0: 0:0\nrow 1: 0:1\n",
+            # C must be non-empty
+            "EQUIDIV 1\nbij nA 2 nB 2 nC 0\n",
         ],
     )
     def test_rejects_malformed(self, text):

@@ -23,6 +23,14 @@ def xor_file(tmp_path):
 
 
 @pytest.fixture
+def empty_c_file(tmp_path):
+    """A table with C empty, outside the paper's hypothesis."""
+    path = tmp_path / "empty-c.eqd"
+    path.write_text("EQUIDIV 1\nbij nA 2 nB 2 nC 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def empty_a_file(tmp_path):
     """A table with A empty; only C must be non-empty."""
     path = tmp_path / "empty-a.eqd"
@@ -50,6 +58,12 @@ class TestUsage:
         bad.write_text("what\n")
         code, _, err = run(capsys, "divide", "--in", str(bad), "--base", "0")
         assert code == 3 and "EQUIDIV 1" in err
+
+    @pytest.mark.parametrize("command", ["quotient", "stab"])
+    def test_empty_c_is_invalid_input(self, capsys, empty_c_file, command):
+        code, out, err = run(capsys, command, "--in", empty_c_file)
+        assert code == 3 and out == ""
+        assert err == "error: nC must be >= 1: C must be non-empty\n"
 
     def test_bad_group_spec(self, capsys, xor_file):
         code, _, err = run(capsys, "stab", "--in", xor_file, "--group", "weird")
@@ -279,6 +293,17 @@ class TestProbeCli:
         code, out, err = run(capsys, "probe", "--nA", n_a, "--nC", n_c)
         assert code == 3 and out == ""
         assert err == f"error: nA and nC must be >= 0, got nA {n_a} nC {n_c}\n"
+
+    def test_empty_c(self, capsys):
+        code, out, err = run(capsys, "probe", "--nA", "2", "--nC", "0")
+        assert code == 3 and out == ""
+        assert err == "error: nC must be >= 1: C must be non-empty\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run(capsys, "probe", "--nA", "2", "--nC", "2", "--jobs", jobs)
+        assert code == 3 and out == ""
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
 
     @pytest.mark.parametrize("group", ["full", "trivial"])
     def test_empty_a(self, capsys, group):

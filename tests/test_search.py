@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+import equidiv.search as search
 from equidiv import (
     BudgetExceeded,
     PermGroup,
@@ -21,6 +24,48 @@ from equidiv.corpus import (
     check_probe_2_3,
     two_by_two_counterexample,
 )
+from equidiv.equivariance import DEFAULT_NODE_LIMIT
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Runs a probe's chunks in process instead of in workers; records the
+    pool sizes asked for and the chunks mapped."""
+    seen = SimpleNamespace(workers=[], chunks=[])
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            seen.chunks.extend(chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    return seen
+
+
+def outcome(report):
+    """Everything a probe reports: its text, and each counterexample's table and certificate."""
+    return report.render(), [
+        (c.index, c.bij, render_certificate(c.certificate)) for c in report.counterexamples
+    ]
+
+
+#: (nA, nC, mode, sample): sampled and exhaustive scans in both modes, each
+#: with counterexamples under ``full``; 41 does not split evenly in two
+SCANS = [
+    (3, 2, "all", 41),
+    (3, 3, "parallel", 40),
+    (2, 2, "all", None),
+    (3, 2, "parallel", None),
+]
 
 
 class TestGcdFilter:
@@ -62,6 +107,15 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_cancelling(2, 3, PermGroup.symmetric(2), "all")
 
+    def test_rejects_empty_c(self):
+        with pytest.raises(ValueError, match=r"^nC must be >= 1: C must be non-empty$"):
+            probe_cancelling(2, 0, PermGroup.trivial(0), "all")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            probe_cancelling(2, 2, PermGroup.symmetric(2), "all", jobs=jobs)
+
     def test_rejects_negative_size(self):
         # checked before the group degree, which -1 cannot match
         with pytest.raises(ValueError, match=r"^nA and nC must be >= 0, got nA 2 nC -1$"):
@@ -90,31 +144,70 @@ class TestProbe:
             render_certificate(c.certificate) for c in parallel.counterexamples
         ]
 
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        import equidiv.search as search
-
-        workers = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch, serial_pool):
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
         group = PermGroup.symmetric(2)
         report = probe_cancelling(2, 2, group, "all", jobs=64, group_name="full")
-        assert workers == [2]
+        assert serial_pool.workers == [2]
         serial = probe_cancelling(2, 2, group, "all", jobs=1, group_name="full")
         assert report.render() == serial.render()
+
+    @pytest.mark.parametrize("n_a,n_c,mode,sample", SCANS)
+    def test_jobs_invariance_in_a_pool(self, n_a, n_c, mode, sample):
+        group = PermGroup.symmetric(n_c)
+        runs = [
+            probe_cancelling(n_a, n_c, group, mode, sample=sample, seed=9, jobs=jobs)
+            for jobs in (1, 2)
+        ]
+        assert runs[0].counterexamples
+        assert outcome(runs[0]) == outcome(runs[1])
+
+    @pytest.mark.parametrize("n_a,n_c,mode,sample", SCANS)
+    def test_chunks_tile_the_scan(self, monkeypatch, serial_pool, n_a, n_c, mode, sample):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        decided = []
+
+        def decide(f, group, budget):
+            decided.append(f)
+            return equivariant_quotient(f, group, budget)
+
+        monkeypatch.setattr(search, "equivariant_quotient", decide)
+        group = PermGroup.symmetric(n_c)
+        serial = probe_cancelling(n_a, n_c, group, mode, sample=sample, seed=9)
+        chunked = probe_cancelling(n_a, n_c, group, mode, sample=sample, seed=9, jobs=2)
+        assert serial_pool.workers == [2]
+        assert outcome(serial) == outcome(chunked)
+        # both scans decide every candidate once, in the same order
+        assert decided[: serial.total] == decided[serial.total :]
+        assert len(decided) == 2 * serial.total
+        ranges = [(start, stop) for _, start, stop in serial_pool.chunks]
+        bounds = [0] + [stop for _, stop in ranges]
+        assert ranges == list(zip(bounds, bounds[1:])) and bounds[-1] == serial.total
+        # a chunk names its range; it carries no candidates
+        for params, _, _ in serial_pool.chunks:
+            assert not any(isinstance(p, (tuple, list)) for p in params)
+
+    # the first range holds counterexample 362186; the last eight tables have none
+    @pytest.mark.parametrize("start", [362180, 362872])
+    def test_chunk_memory_does_not_grow_with_skipped_candidates(self, start):
+        group = PermGroup.symmetric(3)
+        params = (3, 3, group, "all", None, 0, DEFAULT_NODE_LIMIT)
+        tracemalloc.start()
+        try:
+            hits = search._scan_chunk((params, start, start + 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the exhaustive 3x3 candidate list alone is about 44 MB
+        assert peak < 5_000_000
+        chunk = itertools.islice(itertools.permutations(range(9)), start, start + 8)
+        expected = [
+            index
+            for index, flat in enumerate(chunk, start)
+            if equivariant_quotient(ProdBij.from_flat(flat, 3, 3), group).verdict
+            == "not-exists"
+        ]
+        assert [h.index for h in hits] == expected
 
     def test_counterexamples_reverified_by_oracle(self):
         from equidiv import quotient_exists_bruteforce
