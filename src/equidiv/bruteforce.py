@@ -18,9 +18,7 @@ def all_equivariant_quotients(
 ) -> list[Perm]:
     """Every bijection h : A -> B fixed by the full stabilizer, in lex order."""
     syms = stabilizer(f, group, budget)
-    pairs = sorted(
-        {(t.alpha, t.beta) for t in syms}, key=lambda p: (p[0].images, p[1].images)
-    )
+    pairs = {(t.alpha, t.beta) for t in syms}
     out = []
     for images in itertools.permutations(range(f.n_a)):
         h = Perm(images)

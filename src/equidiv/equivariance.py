@@ -32,6 +32,8 @@ class Budget:
     """Backtrack-node counter shared across one solver run."""
 
     def __init__(self, limit: int = DEFAULT_NODE_LIMIT) -> None:
+        if limit < 0:
+            raise ValueError(f"budget must be >= 0, got {limit}")
         self.limit = limit
         self.used = 0
 
@@ -74,8 +76,14 @@ def is_symmetry(f: ProdBij, t: SymTriple) -> bool:
 
 
 def apply_pair(h: Perm, alpha: Perm, beta: Perm) -> Perm:
-    """h_{alpha,beta} = alpha^-1 then h then beta."""
-    return alpha.inverse().then(h).then(beta)
+    """h_{alpha,beta} = alpha^-1 then h then beta, built in one pass as
+    alpha(a) -> beta(h(a)).  Raises ValueError unless the degrees agree."""
+    if not alpha.degree == h.degree == beta.degree:
+        raise ValueError(f"degree mismatch: {alpha.degree}, {h.degree}, {beta.degree}")
+    out = [0] * alpha.degree
+    for alpha_a, h_a in zip(alpha.images, h.images):
+        out[alpha_a] = beta.images[h_a]
+    return Perm._unchecked(tuple(out))
 
 
 # -- stabilizer search --------------------------------------------------------
@@ -277,7 +285,7 @@ def _splitter(n_a: int, n_c: int) -> Callable[[tuple[int, ...]], SymTriple]:
     def perm(images: tuple[int, ...]) -> Perm:
         p = perms.get(images)
         if p is None:
-            p = perms[images] = Perm(images)
+            p = perms[images] = Perm._unchecked(images)
         return p
 
     def split(t: tuple[int, ...]) -> SymTriple:
@@ -317,37 +325,33 @@ def stabilizer(
 def pair_orbits(
     pairs: Iterable[tuple[Perm, Perm]], n_a: int, n_b: int
 ) -> list[Orbit]:
-    """Orbits of the group generated by the pairs acting on A x B cells."""
-    gens = list(pairs)
-    if not gens:
+    """Orbits of the group generated by the pairs acting on A x B cells.
+
+    The group is finite, so forward moves reach whole orbits.  Each orbit
+    starts at the least cell that no earlier orbit holds, so the list is sorted.
+    """
+    moves = [(alpha.images, beta.images) for alpha, beta in pairs]
+    if not moves:
         raise ValueError("need at least one pair (identity pair allowed)")
-    moves = []
-    for alpha, beta in gens:
-        moves.append((alpha.images, beta.images))
-        moves.append((alpha.inverse().images, beta.inverse().images))
     seen = [[False] * n_b for _ in range(n_a)]
     orbits: list[Orbit] = []
     for a0 in range(n_a):
         for b0 in range(n_b):
             if seen[a0][b0]:
                 continue
-            stack = [(a0, b0)]
+            cells = [(a0, b0)]
             seen[a0][b0] = True
-            cells = []
-            while stack:
-                a, b = stack.pop()
-                cells.append((a, b))
+            for a, b in cells:  # visits the cells appended below too
                 for am, bm in moves:
                     a2, b2 = am[a], bm[b]
                     if not seen[a2][b2]:
                         seen[a2][b2] = True
-                        stack.append((a2, b2))
+                        cells.append((a2, b2))
             cells.sort()
             rows = [a for a, _ in cells]
             cols = [b for _, b in cells]
             matchable = len(set(rows)) == len(cells) and len(set(cols)) == len(cells)
             orbits.append(Orbit(tuple(cells), matchable))
-    orbits.sort(key=lambda o: o.cells[0])
     return orbits
 
 
@@ -404,18 +408,6 @@ def nonexistence_by_halffixed(
     return None
 
 
-def _fixed_by_all(h: Perm, triples: Iterable[SymTriple]) -> bool:
-    """True iff apply_pair(h, alpha, beta) == h for every triple.
-
-    Compared on image tuples: h then beta must equal alpha then h.
-    """
-    hi = h.images
-    return all(
-        tuple(map(t.beta.images.__getitem__, hi)) == tuple(map(hi.__getitem__, t.alpha.images))
-        for t in triples
-    )
-
-
 def _matching_to_perm(chosen: Iterable[Orbit], n_a: int) -> Perm:
     images = [-1] * n_a
     for o in chosen:
@@ -425,20 +417,20 @@ def _matching_to_perm(chosen: Iterable[Orbit], n_a: int) -> Perm:
 
 
 def _decide(
-    f: ProdBij, syms: tuple[SymTriple, ...], pairs: list[tuple[Perm, Perm]], budget: Budget
+    f: ProdBij, syms: tuple[SymTriple, ...], gens: Iterable[SymTriple], budget: Budget
 ) -> Certificate:
     """Half-fixed witness, else an orbit matching, for the triples ``syms``, whose
-    (alpha, beta) pairs generate the same group on A x B as ``pairs``."""
+    (alpha, beta) pairs generate the same group on A x B as those of ``gens``."""
     witness = nonexistence_by_halffixed(syms)
     if witness is not None:
         return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
-    pairs = pairs or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
+    pairs = [(t.alpha, t.beta) for t in gens] or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
     orbits = pair_orbits(pairs, f.n_a, f.n_b)
     chosen = _orbit_union_matching(orbits, f.n_a, f.n_b, budget)
     if chosen is None:
         return Certificate("not-exists", None, syms, "orbit-exhaustion")
     h = _matching_to_perm(chosen, f.n_a)
-    if not _fixed_by_all(h, syms):  # soundness re-check over every listed triple
+    if any(apply_pair(h, t.alpha, t.beta) != h for t in syms):  # soundness re-check
         raise AssertionError("solver produced a non-equivariant quotient (bug)")
     return Certificate("exists", h, syms, "matching-found")
 
@@ -449,9 +441,7 @@ def equivariant_quotient(
     """Decide whether f has a Gamma-equivariant quotient, with certificate."""
     budget = budget or Budget()
     found = stabilizer(f, group, budget)
-    # the generators' pairs generate the same group on A x B as all the pairs
-    pairs = [(t.alpha, t.beta) for t in found.generators]
-    return _decide(f, tuple(found), pairs, budget)
+    return _decide(f, tuple(found), found.generators, budget)
 
 
 def nonexistence_from_symmetries(
@@ -467,8 +457,7 @@ def nonexistence_from_symmetries(
         if not is_symmetry(f, t):
             raise ValueError("supplied triple is not a symmetry of f")
     syms = tuple(symmetries)
-    pairs = sorted({(t.alpha, t.beta) for t in syms}, key=lambda p: (p[0].images, p[1].images))
-    cert = _decide(f, syms, pairs, budget or Budget())
+    cert = _decide(f, syms, syms, budget or Budget())
     return None if cert.verdict == "exists" else cert
 
 

@@ -3,6 +3,9 @@
 Composition uses the "then" order throughout: ``p.then(q)`` maps x to
 q(p(x)).  Points are always 0-based indices; human-readable labels only
 appear at the I/O boundary (see :func:`parse_cycles` / :func:`format_cycles`).
+
+Images are checked where they enter: ``Perm(...)``, :meth:`Perm.from_cycles`
+and :func:`parse_cycles`.  Products, inverses and identities skip the check.
 """
 
 from __future__ import annotations
@@ -31,8 +34,15 @@ class Perm:
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.images!r}")
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Perm":
+        """A Perm from an image tuple that is a permutation by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(n)))
+        return cls._unchecked(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Perm":
@@ -58,13 +68,13 @@ class Perm:
         """Composition in reading order: (self then other)(x) = other(self(x))."""
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Perm(tuple(other.images[i] for i in self.images))
+        return Perm._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(tuple(inv))
+        return Perm._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

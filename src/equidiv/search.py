@@ -140,6 +140,8 @@ def probe_cancelling(
         raise ValueError(f"sample must be >= 0, got {sample}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if node_limit < 0:
+        raise ValueError(f"budget must be >= 0, got {node_limit}")
     if sample is None:
         total = factorial(n_a * n_c) if mode == "all" else factorial(n_a) ** n_c
         cap = ALL_MODE_CAP if mode == "all" else PARALLEL_MODE_CAP

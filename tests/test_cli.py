@@ -65,6 +65,19 @@ class TestUsage:
         assert code == 3 and out == ""
         assert err == "error: nC must be >= 1: C must be non-empty\n"
 
+    @pytest.mark.parametrize("command", ["quotient", "stab"])
+    @pytest.mark.parametrize("budget", ["-1", "-5"])
+    def test_negative_budget_is_invalid_input(self, capsys, xor_file, command, budget):
+        code, out, err = run(capsys, command, "--in", xor_file, "--budget", budget)
+        assert code == 3 and out == ""
+        assert err == f"error: budget must be >= 0, got {budget}\n"
+
+    @pytest.mark.parametrize("command", ["quotient", "stab"])
+    def test_zero_budget_is_exceeded(self, capsys, xor_file, command):
+        code, out, err = run(capsys, command, "--in", xor_file, "--budget", "0")
+        assert code == 4 and out == ""
+        assert err == "error: search exceeded 0 nodes\n"
+
     def test_bad_group_spec(self, capsys, xor_file):
         code, _, err = run(capsys, "stab", "--in", xor_file, "--group", "weird")
         assert code == 3
@@ -304,6 +317,16 @@ class TestProbeCli:
         code, out, err = run(capsys, "probe", "--nA", "2", "--nC", "2", "--jobs", jobs)
         assert code == 3 and out == ""
         assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
+    def test_negative_budget(self, capsys):
+        code, out, err = run(capsys, "probe", "--nA", "2", "--nC", "2", "--budget", "-1")
+        assert code == 3 and out == ""
+        assert err == "error: budget must be >= 0, got -1\n"
+
+    def test_zero_budget_is_exceeded(self, capsys):
+        code, out, err = run(capsys, "probe", "--nA", "2", "--nC", "2", "--budget", "0")
+        assert code == 4 and out == ""
+        assert err == "error: search exceeded 0 nodes\n"
 
     @pytest.mark.parametrize("group", ["full", "trivial"])
     def test_empty_a(self, capsys, group):

@@ -1,10 +1,15 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import equidiv.equivariance as equivariance
 from equidiv import (
     Budget,
     BudgetExceeded,
+    CayleyTable,
     FormatError,
     Perm,
     PermGroup,
@@ -19,11 +24,13 @@ from equidiv import (
     pair_orbits,
     parse_symmetries,
     quotient_exists_bruteforce,
+    regular_rep,
     render_certificate,
     render_symmetries,
     stabilizer,
 )
 from equidiv.corpus import two_by_two_counterexample
+from equidiv.equivariance import Orbit
 
 from conftest import random_bij
 
@@ -90,8 +97,56 @@ class TestStabilizer:
         with pytest.raises(BudgetExceeded):
             stabilizer(f, PermGroup.symmetric(2), Budget(3))
 
+    @pytest.mark.parametrize("limit", [-1, -5])
+    def test_negative_budget_rejected(self, limit):
+        with pytest.raises(ValueError, match=rf"^budget must be >= 0, got {limit}$"):
+            Budget(limit)
+
+
+def orbits_both_ways(pairs, n_a, n_b):
+    """Orbits on A x B cells following each pair and its inverse, sorted by least cell."""
+    moves = [(a.images, b.images) for a, b in pairs]
+    moves += [(a.inverse().images, b.inverse().images) for a, b in pairs]
+    placed = set()
+    orbits = []
+    for cell in itertools.product(range(n_a), range(n_b)):
+        if cell in placed:
+            continue
+        orbit, frontier = {cell}, [cell]
+        while frontier:
+            a, b = frontier.pop()
+            for am, bm in moves:
+                if (am[a], bm[b]) not in orbit:
+                    orbit.add((am[a], bm[b]))
+                    frontier.append((am[a], bm[b]))
+        placed |= orbit
+        rows = {a for a, _ in orbit}
+        cols = {b for _, b in orbit}
+        orbits.append(Orbit(tuple(sorted(orbit)), len(rows) == len(cols) == len(orbit)))
+    return sorted(orbits, key=lambda o: o.cells[0])
+
+
+def perms_of(n):
+    return st.permutations(range(n)).map(lambda xs: Perm(tuple(xs)))
+
+
+@st.composite
+def pair_lists(draw):
+    """1-3 (alpha, beta) pairs on A and B of sizes 0-5."""
+    n_a, n_b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pairs = st.tuples(perms_of(n_a), perms_of(n_b))
+    return draw(st.lists(pairs, min_size=1, max_size=3)), n_a, n_b
+
 
 class TestOrbits:
+    @given(pair_lists())
+    def test_forward_moves_match_both_ways(self, case):
+        pairs, n_a, n_b = case
+        orbits = pair_orbits(pairs, n_a, n_b)
+        assert orbits == orbits_both_ways(pairs, n_a, n_b)
+        # generator order and repeats do not matter
+        assert pair_orbits(pairs[::-1] + pairs, n_a, n_b) == orbits
+
     def test_identity_pair_gives_singletons(self):
         orbits = pair_orbits([(Perm.identity(2), Perm.identity(2))], 2, 2)
         assert len(orbits) == 4
@@ -183,6 +238,17 @@ class TestQuotientDecision:
             c1 = equivariant_quotient(f, PermGroup.symmetric(2))
             c2 = equivariant_quotient(f, PermGroup.symmetric(2))
             assert render_certificate(c1) == render_certificate(c2)
+
+    def test_soundness_recheck_fires(self, monkeypatch):
+        # under trivial, the triples of regular_rep(Z3) include (L1, L1, id),
+        # and conjugating a transposition by a 3-cycle moves it
+        f = regular_rep(CayleyTable.cyclic(3))
+        moved = Perm((1, 0, 2))
+        triples = stabilizer(f, PermGroup.trivial(3))
+        assert any(apply_pair(moved, t.alpha, t.beta) != moved for t in triples)
+        monkeypatch.setattr(equivariance, "_matching_to_perm", lambda chosen, n_a: moved)
+        with pytest.raises(AssertionError, match="non-equivariant quotient"):
+            equivariant_quotient(f, PermGroup.trivial(3))
 
     def test_budget_propagates(self):
         f = ProdBij.identity(5, 2)

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from equidiv import BudgetExceeded, FormatError, Perm, PermGroup, format_cycles, parse_cycles
+from equidiv import (
+    BudgetExceeded,
+    FormatError,
+    Perm,
+    PermGroup,
+    apply_pair,
+    format_cycles,
+    parse_cycles,
+)
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n)).map(lambda xs: Perm(tuple(xs)))
@@ -66,6 +74,41 @@ class TestPerm:
     def test_from_cycles_rejects_overlap(self):
         with pytest.raises(ValueError):
             Perm.from_cycles([(0, 1), (1, 2)], 3)
+
+
+class TestUnchecked:
+    """Products, inverses and identities skip the permutation check; each must
+    equal its definition built with the checked constructor."""
+
+    @given(
+        st.integers(min_value=0, max_value=8).flatmap(
+            lambda n: st.tuples(*(st.permutations(range(n)),) * 3)
+        )
+    )
+    def test_match_checked_definitions(self, images):
+        p, q, r = (Perm(tuple(xs)) for xs in images)
+        n = p.degree
+        preimage = {p(x): x for x in range(n)}
+        # apply_pair(h, alpha, beta) with h = q, alpha = p, beta = r
+        pair = Perm(p.inverse().images)
+        pair = Perm(pair.then(q).images)
+        pair = Perm(pair.then(r).images)
+        cases = [
+            (p.then(q), Perm(tuple(q(p(x)) for x in range(n)))),
+            (p.inverse(), Perm(tuple(preimage[y] for y in range(n)))),
+            (Perm.identity(n), Perm(tuple(range(n)))),
+            (apply_pair(q, p, r), pair),
+        ]
+        for got, want in cases:
+            assert type(got.images) is tuple
+            assert got == want and hash(got) == hash(want)
+            assert Perm(got.images) == got
+
+    def test_apply_pair_degree_mismatch(self):
+        two, three = Perm((1, 0)), Perm.identity(3)
+        for h, alpha, beta in ((two, three, three), (three, two, three), (three, three, two)):
+            with pytest.raises(ValueError):
+                apply_pair(h, alpha, beta)
 
 
 class TestCycleNotation:

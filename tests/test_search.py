@@ -116,6 +116,12 @@ class TestProbe:
         with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
             probe_cancelling(2, 2, PermGroup.symmetric(2), "all", jobs=jobs)
 
+    def test_rejects_negative_budget_before_any_pool(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            probe_cancelling(2, 2, PermGroup.symmetric(2), "all", jobs=2, node_limit=-1)
+        assert serial_pool.workers == [] and serial_pool.chunks == []
+
     def test_rejects_negative_size(self):
         # checked before the group degree, which -1 cannot match
         with pytest.raises(ValueError, match=r"^nA and nC must be >= 0, got nA 2 nC -1$"):
