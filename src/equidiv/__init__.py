@@ -18,7 +18,6 @@ from .equivariance import (
     apply_pair,
     equivariant_quotient,
     is_symmetry,
-    nonexistence_by_halffixed,
     nonexistence_from_symmetries,
     pair_orbits,
     parse_symmetries,

@@ -11,19 +11,25 @@ it with one propagation search in which alpha, beta and gamma are all
 search variables, and keeps it as a base and strong generating set: the
 base is the sequence of points the search branches on along the identity
 path, and each level needs one coset representative per point of its basic
-orbit.  The sorted triple list is built from those representatives; the
-orbits on A x B come from the generators alone.
+orbit.  The group is kept as the sorted list of its elements, each one
+permutation of the N points held as an image tuple, and the strong
+generators as triples.  Deciding and rendering read those tuples: the
+half-fixed witness is found by comparing slices of them, the orbits on
+A x B and the soundness re-check use the generators alone, and a
+certificate is written from the tuples.  A :class:`SymTriple` is built per
+listed triple only when a caller reads the list as triples.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .bijection import ProdBij
 from .errors import BudgetExceeded, FormatError
-from .perm import Perm, PermGroup, format_cycles, parse_cycles
+from .perm import Perm, PermGroup, parse_cycles, write_cycles
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -66,7 +72,7 @@ class Certificate:
 
     verdict: str  # "exists" | "not-exists"
     quotient: Perm | None
-    verified_against: tuple[SymTriple, ...]
+    verified_against: Symmetries
     reason: str  # "matching-found" | "half-fixed-witness" | "orbit-exhaustion"
     witness: SymTriple | None = None
 
@@ -90,15 +96,49 @@ def apply_pair(h: Perm, alpha: Perm, beta: Perm) -> Perm:
 #
 # A triple acts on the N = 2nA + nC points A ⊔ B ⊔ C: alpha on 0..nA-1, beta
 # on nA..2nA-1 and gamma on 2nA..N-1.  A symmetry is therefore one
-# permutation of N points, held as an image tuple while the group is built.
+# permutation of N points, held as an image tuple, and the stabilizer is kept
+# as a list of those tuples.
 
 
-class Symmetries(list):
-    """Symmetry triples in sorted order, with the strong generators they came from."""
+class Symmetries(abc.Sequence):
+    """A read-only list of symmetry triples, with generators of a group that
+    holds them all.
 
-    def __init__(self, triples: Iterable[SymTriple], generators: Iterable[SymTriple]) -> None:
-        super().__init__(triples)
+    ``points`` holds each triple as one permutation of the N points, an
+    image tuple; ``len`` is the number of triples.  A :class:`SymTriple` is
+    built only when a triple is read by index or iteration, and a slice is
+    a list of triples.  It equals a list of the same triples in the same
+    order.
+    """
+
+    def __init__(
+        self, n_a: int, n_c: int, points: list[tuple[int, ...]], generators: Iterable[SymTriple]
+    ) -> None:
+        self.n_a, self.n_c = n_a, n_c
+        self.points = points
         self.generators = tuple(generators)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i):
+        split = _splitter(self.n_a, self.n_c)
+        if isinstance(i, slice):
+            return list(map(split, self.points[i]))
+        return split(self.points[i])
+
+    def __iter__(self):
+        return map(_splitter(self.n_a, self.n_c), self.points)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Symmetries):
+            return (self.n_a, self.n_c, self.points) == (other.n_a, other.n_c, other.points)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n_a, self.n_c, tuple(self.points)))
 
 
 def _symmetry_chain(
@@ -296,6 +336,13 @@ def _splitter(n_a: int, n_c: int) -> Callable[[tuple[int, ...]], SymTriple]:
     return split
 
 
+def _join(t: SymTriple, n_a: int) -> tuple[int, ...]:
+    """The triple as one permutation of the N points."""
+    g0 = 2 * n_a
+    beta, gamma = (b + n_a for b in t.beta.images), (c + g0 for c in t.gamma.images)
+    return (*t.alpha.images, *beta, *gamma)
+
+
 def stabilizer(
     f: ProdBij, group: PermGroup, budget: Budget | None = None
 ) -> Symmetries:
@@ -315,8 +362,7 @@ def stabilizer(
         steps = [u.__getitem__ for u in reps.values()]
         elements = [tuple(map(u, h)) for u in steps for h in elements]
     elements.sort()
-    split = _splitter(f.n_a, f.n_c)
-    return Symmetries(map(split, elements), map(split, gens))
+    return Symmetries(f.n_a, f.n_c, elements, map(_splitter(f.n_a, f.n_c), gens))
 
 
 # -- orbits and matching ------------------------------------------------------
@@ -393,21 +439,6 @@ def _orbit_union_matching(
     return chosen[:] if backtrack() else None
 
 
-def nonexistence_by_halffixed(
-    symmetries: Iterable[SymTriple],
-) -> SymTriple | None:
-    """First symmetry with exactly one of alpha, beta equal to the identity.
-
-    Such a triple is an immediate obstruction: a bijection h cannot satisfy
-    h = h then beta (beta nontrivial) or alpha^-1 then h = h (alpha
-    nontrivial) since h hits every value.
-    """
-    for t in symmetries:
-        if t.alpha.is_identity() != t.beta.is_identity():
-            return t
-    return None
-
-
 def _matching_to_perm(chosen: Iterable[Orbit], n_a: int) -> Perm:
     images = [-1] * n_a
     for o in chosen:
@@ -416,21 +447,28 @@ def _matching_to_perm(chosen: Iterable[Orbit], n_a: int) -> Perm:
     return Perm(tuple(images))
 
 
-def _decide(
-    f: ProdBij, syms: tuple[SymTriple, ...], gens: Iterable[SymTriple], budget: Budget
-) -> Certificate:
-    """Half-fixed witness, else an orbit matching, for the triples ``syms``, whose
-    (alpha, beta) pairs generate the same group on A x B as those of ``gens``."""
-    witness = nonexistence_by_halffixed(syms)
-    if witness is not None:
-        return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
+def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
+    """Half-fixed witness, else an orbit matching, for the triples ``syms``.
+
+    The witness is the first triple that fixes exactly one of A and B: no
+    bijection h satisfies h = h then beta with beta nontrivial, or
+    h = alpha^-1 then h with alpha nontrivial.  The orbits and the soundness
+    re-check use the generators alone, since an h fixed by each of them is
+    fixed by the group they generate, which holds every listed triple.
+    """
+    n_a, gens = f.n_a, syms.generators
+    id_a, id_b = tuple(range(n_a)), tuple(range(n_a, 2 * n_a))
+    for t in syms.points:
+        if (t[:n_a] == id_a) != (t[n_a:2 * n_a] == id_b):
+            witness = _splitter(n_a, f.n_c)(t)
+            return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
     pairs = [(t.alpha, t.beta) for t in gens] or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
     orbits = pair_orbits(pairs, f.n_a, f.n_b)
     chosen = _orbit_union_matching(orbits, f.n_a, f.n_b, budget)
     if chosen is None:
         return Certificate("not-exists", None, syms, "orbit-exhaustion")
     h = _matching_to_perm(chosen, f.n_a)
-    if any(apply_pair(h, t.alpha, t.beta) != h for t in syms):  # soundness re-check
+    if any(apply_pair(h, t.alpha, t.beta) != h for t in gens):  # soundness re-check
         raise AssertionError("solver produced a non-equivariant quotient (bug)")
     return Certificate("exists", h, syms, "matching-found")
 
@@ -440,8 +478,7 @@ def equivariant_quotient(
 ) -> Certificate:
     """Decide whether f has a Gamma-equivariant quotient, with certificate."""
     budget = budget or Budget()
-    found = stabilizer(f, group, budget)
-    return _decide(f, tuple(found), found.generators, budget)
+    return _decide(f, stabilizer(f, group, budget), budget)
 
 
 def nonexistence_from_symmetries(
@@ -456,26 +493,49 @@ def nonexistence_from_symmetries(
     for t in symmetries:
         if not is_symmetry(f, t):
             raise ValueError("supplied triple is not a symmetry of f")
-    syms = tuple(symmetries)
-    cert = _decide(f, syms, syms, budget or Budget())
+    # the triples in the given order, as their own generators
+    syms = Symmetries(f.n_a, f.n_c, [_join(t, f.n_a) for t in symmetries], symmetries)
+    cert = _decide(f, syms, budget or Budget())
     return None if cert.verdict == "exists" else cert
 
 
 # -- text formats -------------------------------------------------------------
 
 
+def _column(rows: Iterable[tuple[int, ...]], points: range, labels: Sequence[str]) -> list[str]:
+    """Cycle notation of each N-point tuple on one part; each distinct image
+    slice is written once."""
+    lo, hi = points.start, points.stop
+    memo: dict[tuple[int, ...], str] = {}
+    out = []
+    for t in rows:
+        key = t[lo:hi]
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = write_cycles(t, points, labels)
+        out.append(text)
+    return out
+
+
 def render_symmetries(
-    triples: Iterable[SymTriple],
+    syms: Symmetries,
     a_labels: Sequence[str] | None = None,
     b_labels: Sequence[str] | None = None,
     c_labels: Sequence[str] | None = None,
 ) -> str:
-    lines = []
-    for t in triples:
-        lines.append("alpha " + format_cycles(t.alpha, a_labels))
-        lines.append("beta " + format_cycles(t.beta, b_labels))
-        lines.append("gamma " + format_cycles(t.gamma, c_labels))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Three lines per triple, ``alpha``, ``beta`` and ``gamma``, in list order.
+
+    Points missing a label are written as their index within A, B or C.
+    """
+    n_a, n_c = syms.n_a, syms.n_c
+    labels = [
+        *(a_labels or map(str, range(n_a))),
+        *(b_labels or map(str, range(n_a))),
+        *(c_labels or map(str, range(n_c))),
+    ]
+    parts = (range(n_a), range(n_a, 2 * n_a), range(2 * n_a, 2 * n_a + n_c))
+    columns = [_column(syms.points, points, labels) for points in parts]
+    return "".join(map("alpha %s\nbeta %s\ngamma %s\n".__mod__, zip(*columns)))
 
 
 def parse_symmetries(
@@ -519,15 +579,10 @@ def render_certificate(
         lines.append("quotient: " + " ".join(toks))
     else:
         lines.append(f"reason: {cert.reason}")
-        if cert.witness is not None:
-            w = cert.witness
-            lines.append(
-                "witness: alpha %s beta %s gamma %s"
-                % (
-                    format_cycles(w.alpha, a_labels),
-                    format_cycles(w.beta, b_labels),
-                    format_cycles(w.gamma, c_labels),
-                )
-            )
+        if cert.witness is not None:  # its three symmetry lines, on one line
+            n_a, n_c = cert.verified_against.n_a, cert.verified_against.n_c
+            one = Symmetries(n_a, n_c, [_join(cert.witness, n_a)], ())
+            text = render_symmetries(one, a_labels, b_labels, c_labels)
+            lines.append("witness: " + text.rstrip("\n").replace("\n", " "))
     body = render_symmetries(cert.verified_against, a_labels, b_labels, c_labels)
     return "\n".join(lines) + "\n" + body

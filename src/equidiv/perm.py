@@ -213,9 +213,26 @@ def format_cycles(p: Perm, labels: Sequence[str] | None = None) -> str:
     """Render a permutation in cycle notation; identity renders as "()"."""
     if labels is None:
         labels = [str(i) for i in range(p.degree)]
-    parts = [
-        "(" + ",".join(labels[x] for x in cyc) + ")"
-        for cyc in p.cycles()
-        if len(cyc) > 1
-    ]
-    return "".join(parts) if parts else "()"
+    return write_cycles(p.images, range(p.degree), labels)
+
+
+def write_cycles(images: Sequence[int], points: range, labels: Sequence[str]) -> str:
+    """Cycle notation for ``images`` restricted to ``points``, which it maps
+    among themselves; a point x is written as ``labels[x]``.
+
+    Cycles start at their smallest point and come in order of it, as in
+    :meth:`Perm.cycles`; fixed points are left out, and "()" stands for none.
+    """
+    seen = bytearray(len(images))
+    out = []
+    for p in points:
+        x = images[p]
+        if x == p or seen[p]:
+            continue
+        cyc = [labels[p]]
+        while x != p:
+            seen[x] = 1
+            cyc.append(labels[x])
+            x = images[x]
+        out.append("(" + ",".join(cyc) + ")")
+    return "".join(out) or "()"

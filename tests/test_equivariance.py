@@ -1,8 +1,9 @@
 import itertools
+import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equidiv.equivariance as equivariance
@@ -17,11 +18,12 @@ from equidiv import (
     SymTriple,
     all_equivariant_quotients,
     apply_pair,
+    checkered_product,
     equivariant_quotient,
     is_symmetry,
-    nonexistence_by_halffixed,
     nonexistence_from_symmetries,
     pair_orbits,
+    parse_cycles,
     parse_symmetries,
     quotient_exists_bruteforce,
     regular_rep,
@@ -30,9 +32,18 @@ from equidiv import (
     stabilizer,
 )
 from equidiv.corpus import two_by_two_counterexample
-from equidiv.equivariance import Orbit
+from equidiv.equivariance import Orbit, Symmetries
 
 from conftest import random_bij
+
+
+def halffixed_witness(symmetries):
+    """First triple with exactly one of alpha, beta equal to the identity, by
+    definition: the reference for the solver's witness scan."""
+    for t in symmetries:
+        if t.alpha.is_identity() != t.beta.is_identity():
+            return t
+    return None
 
 
 def compose(s: SymTriple, t: SymTriple) -> SymTriple:
@@ -170,12 +181,12 @@ class TestOrbits:
 class TestHalfFixed:
     def test_detects(self):
         t = SymTriple(Perm.identity(2), Perm((1, 0)), Perm((1, 0)))
-        assert nonexistence_by_halffixed([t]) is t
+        assert halffixed_witness([t]) is t
 
     def test_ignores_balanced(self):
         both = SymTriple(Perm((1, 0)), Perm((1, 0)), Perm.identity(2))
         neither = SymTriple(Perm.identity(2), Perm.identity(2), Perm((1, 0)))
-        assert nonexistence_by_halffixed([both, neither]) is None
+        assert halffixed_witness([both, neither]) is None
 
 
 class TestQuotientDecision:
@@ -318,3 +329,152 @@ class TestTextFormats:
         assert lines[0] == "verdict not-exists"
         assert lines[1] == "reason: half-fixed-witness"
         assert lines[2] == "witness: alpha () beta (0,1) gamma (a,b)"
+
+
+def cycles_text(p: Perm, labels) -> str:
+    """Cycle notation by definition, from Perm.cycles()."""
+    labels = labels or [str(i) for i in range(p.degree)]
+    text = "".join("(" + ",".join(labels[x] for x in c) + ")" for c in p.cycles() if len(c) > 1)
+    return text or "()"
+
+
+def reference_listing(triples, a, b, c) -> str:
+    return "".join(
+        f"alpha {cycles_text(t.alpha, a)}\nbeta {cycles_text(t.beta, b)}\n"
+        f"gamma {cycles_text(t.gamma, c)}\n"
+        for t in triples
+    )
+
+
+@st.composite
+def decision_cases(draw):
+    """(f, group, labels) at nA, nC <= 4: random and parallel tables under
+    full, trivial and random gens: subgroups, with or without labels."""
+    n_a = draw(st.integers(0, 4))
+    n_c = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        f = ProdBij.from_flat(draw(st.permutations(range(n_a * n_c))), n_a, n_c)
+    else:
+        rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
+        f = ProdBij.parallel_from_rows(rows)
+    kind = draw(st.sampled_from(["full", "trivial", "gens"]))
+    if kind == "full":
+        group = PermGroup.symmetric(n_c)
+    elif kind == "trivial":
+        group = PermGroup.trivial(n_c)
+    else:
+        perm_c = st.permutations(range(n_c)).map(lambda xs: Perm(tuple(xs)))
+        group = PermGroup.generated(draw(st.lists(perm_c, min_size=1, max_size=2)), n_c)
+    labels = (
+        (tuple("pqrs"[:n_a]), tuple("wxyz"[:n_a]), tuple("abcd"[:n_c]))
+        if draw(st.booleans())
+        else (None, None, None)
+    )
+    return f, group, labels
+
+
+class TestCertificateDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(decision_cases())
+    def test_render_matches_reference(self, case):
+        f, group, (a, b, c) = case
+        triples = list(stabilizer(f, group))
+        listing = reference_listing(triples, a, b, c)
+        assert render_symmetries(stabilizer(f, group), a, b, c) == listing
+
+        cert = equivariant_quotient(f, group)
+        witness = halffixed_witness(triples)
+        if witness is not None:
+            head = [
+                "verdict not-exists",
+                "reason: half-fixed-witness",
+                f"witness: alpha {cycles_text(witness.alpha, a)} "
+                f"beta {cycles_text(witness.beta, b)} gamma {cycles_text(witness.gamma, c)}",
+            ]
+        elif cert.verdict == "exists":
+            h = cert.quotient
+            # fixed by every listed triple, not only by the generators the solver re-checks
+            assert all(apply_pair(h, t.alpha, t.beta) == h for t in triples)
+            b_names = b or [str(x) for x in range(f.n_b)]
+            head = ["verdict exists", "quotient: " + " ".join(b_names[x] for x in h.images)]
+        else:
+            assert cert.reason == "orbit-exhaustion"
+            head = ["verdict not-exists", "reason: orbit-exhaustion"]
+        assert (cert.verdict == "exists") == quotient_exists_bruteforce(f, group)
+        assert render_certificate(cert, a, b, c) == "".join(x + "\n" for x in head) + listing
+
+
+def split_by_definition(t, n_a):
+    g0 = 2 * n_a
+    return SymTriple(
+        Perm(t[:n_a]),
+        Perm(tuple(x - n_a for x in t[n_a:g0])),
+        Perm(tuple(x - g0 for x in t[g0:])),
+    )
+
+
+class TestSymmetries:
+    CASES = [
+        (two_by_two_counterexample(), PermGroup.symmetric(2)),
+        (regular_rep(CayleyTable.cyclic(4)), PermGroup.symmetric(4)),
+        (regular_rep(CayleyTable.cyclic(3)), PermGroup.trivial(3)),
+        (ProdBij.identity(3, 2), PermGroup.symmetric(2)),
+        (ProdBij.identity(0, 2), PermGroup.symmetric(2)),
+        (
+            checkered_product(parse_cycles("(a,b)(c,d)", "abcd"), tuple("abcd")).bij,
+            PermGroup.symmetric(4),
+        ),
+    ]
+
+    @pytest.mark.parametrize("f, group", CASES)
+    def test_sequence_agrees_with_sorted_list(self, f, group):
+        syms = stabilizer(f, group)
+        want = [split_by_definition(t, f.n_a) for t in syms.points]
+        assert want == sorted(want, key=lambda t: (t.alpha.images, t.beta.images, t.gamma.images))
+        assert len(syms) == len(want)
+        assert list(syms) == want and syms == want and want == syms
+        for i in range(-len(want), len(want)):
+            assert syms[i] == want[i]
+        for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, 2)):
+            assert syms[sl] == want[sl] and isinstance(syms[sl], list)
+        assert all(t in syms for t in want) and syms.index(want[-1]) == len(want) - 1
+        with pytest.raises(IndexError):
+            syms[len(want)]
+
+    @pytest.mark.parametrize("f, group", CASES)
+    def test_pickle_round_trip(self, f, group):
+        syms = stabilizer(f, group)
+        back = pickle.loads(pickle.dumps(syms))
+        assert back == syms and list(back) == list(syms)
+        assert back.generators == syms.generators
+        cert = equivariant_quotient(f, group)
+        back = pickle.loads(pickle.dumps(cert))
+        assert back == cert and hash(back) == hash(cert)
+        assert back.verified_against.generators == cert.verified_against.generators
+        assert render_certificate(back) == render_certificate(cert)
+
+    def test_subset_keeps_file_order(self):
+        f = two_by_two_counterexample()
+        triples = list(stabilizer(f, PermGroup.symmetric(2)))[::-1]
+        cert = nonexistence_from_symmetries(f, triples)
+        assert list(cert.verified_against) == triples
+        assert cert.verified_against.generators == tuple(triples)
+        assert cert.witness == halffixed_witness(triples)
+
+    def test_decide_and_render_build_perms_per_generator(self, monkeypatch):
+        # the benchmark's 7x1 quotient: |Stab| = 7! triples, a handful of generators
+        f = ProdBij.from_flat(random.Random(1).sample(range(7), 7), 7, 1)
+        made = []
+        unchecked = Perm._unchecked.__func__
+
+        def counting(cls, images):
+            made.append(images)
+            return unchecked(cls, images)
+
+        monkeypatch.setattr(Perm, "_unchecked", classmethod(counting))
+        cert = equivariant_quotient(f, PermGroup.symmetric(1))
+        text = render_certificate(cert)
+        syms = cert.verified_against
+        assert cert.verdict == "exists" and len(syms) == 5040
+        assert text.count("\nalpha ") == 5040
+        assert len(made) <= 6 * len(syms.generators) + 6
