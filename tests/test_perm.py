@@ -156,3 +156,14 @@ class TestPermGroup:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             PermGroup(3, (Perm((0, 1)),))
+
+    def test_is_symmetric_truth_table(self):
+        for n in range(6):
+            assert PermGroup.symmetric(n).is_symmetric()
+        for n in range(2, 6):
+            assert not PermGroup.trivial(n).is_symmetric()
+        swap, cycle = Perm.from_cycles([(0, 1)], 3), Perm.from_cycles([(0, 1, 2)], 3)
+        # S3 from other generators, or the same generators in another order
+        assert not PermGroup.generated([swap, Perm.from_cycles([(1, 2)], 3)]).is_symmetric()
+        assert not PermGroup.generated([cycle, swap]).is_symmetric()
+        assert PermGroup.generated([swap, cycle]).is_symmetric()

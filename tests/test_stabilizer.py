@@ -20,6 +20,7 @@ from equidiv import (
     ProdBij,
     SymTriple,
     checkered_product,
+    equivariant_quotient,
     is_symmetry,
     pair_orbits,
     parse_cycles,
@@ -104,3 +105,22 @@ def test_pinned_node_counts():
     assert _nodes(checkered.bij, PermGroup.symmetric(6)) == (1353, 1296)
     assert _nodes(random_bij(random.Random(71), 7, 1), PermGroup.symmetric(1)) == (5075, 5040)
     assert _nodes(random_bij(random.Random(25), 2, 5), PermGroup.symmetric(5)) == (7, 1)
+
+
+def _decision(f: ProdBij, group: PermGroup) -> tuple[int, str, str]:
+    """Budget used by a whole decision, and its verdict and reason."""
+    budget = Budget()
+    cert = equivariant_quotient(f, group, budget)
+    return budget.used, cert.verdict, cert.reason
+
+
+def test_pinned_decision_counts():
+    """Budget use of equivariant_quotient, one instance per reason: the
+    stabilizer's count above plus one tick per orbit the matching takes."""
+    checkered = checkered_product(parse_cycles("(a,b,c)(d,e,f)", "abcdef"), tuple("abcdef"))
+    z7, q71 = regular_rep(CayleyTable.cyclic(7)), random_bij(random.Random(71), 7, 1)
+    assert _decision(z7, PermGroup.symmetric(7)) == (361, "not-exists", "half-fixed-witness")
+    assert _decision(checkered.bij, PermGroup.symmetric(6)) == (
+        1353, "not-exists", "orbit-exhaustion"
+    )
+    assert _decision(q71, PermGroup.symmetric(1)) == (5076, "exists", "matching-found")
