@@ -14,14 +14,17 @@ path, and each level needs one coset representative per point of its basic
 orbit.  The group is kept as the sorted list of its elements, each one
 permutation of the N points held as an image tuple, and the strong
 generators as triples.  Deciding and rendering read those tuples: the
-half-fixed witness is found by comparing slices of them, the orbits on
-A x B and the soundness re-check use the generators alone, and a
-certificate is written from the tuples.  A :class:`SymTriple` is built per
+half-fixed witness is found by comparing slices of them, and a certificate
+is written from the tuples.  The matching and the soundness re-check use
+the generators alone; the matching computes each orbit on A x B from them
+when its search first reaches one of its cells, and :func:`pair_orbits` is
+the whole table, for tests and tracing.  A :class:`SymTriple` is built per
 listed triple only when a caller reads the list as triples.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import abc
 from dataclasses import dataclass
 from math import prod
@@ -359,8 +362,9 @@ def stabilizer(
     budget.tick(prod(len(reps) for reps in levels))
     elements = [tuple(range(2 * f.n_a + f.n_c))]
     for reps in levels:
-        steps = [u.__getitem__ for u in reps.values()]
-        elements = [tuple(map(u, h)) for u in steps for h in elements]
+        if len(reps) > 1:  # a level that holds only the identity changes nothing
+            steps = [u.__getitem__ for u in reps.values()]
+            elements = [tuple(map(u, h)) for u in steps for h in elements]
     elements.sort()
     return Symmetries(f.n_a, f.n_c, elements, map(_splitter(f.n_a, f.n_c), gens))
 
@@ -368,52 +372,53 @@ def stabilizer(
 # -- orbits and matching ------------------------------------------------------
 
 
+def _orbit(
+    cell: tuple[int, int], moves: Sequence[tuple[Sequence[int], ...]], orbit_of: dict
+) -> Orbit:
+    """The orbit of an A x B cell under the group the (alpha, beta) image
+    pairs generate, computed once and then kept in orbit_of for each of its
+    cells.  The group is finite, so forward moves reach the whole orbit."""
+    o = orbit_of.get(cell)
+    if o is None:
+        cells, seen = [cell], {cell}
+        for a, b in cells:  # visits the cells appended below too
+            for am, bm in moves:
+                nxt = am[a], bm[b]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    cells.append(nxt)
+        rows, cols = {a for a, _ in cells}, {b for _, b in cells}
+        o = Orbit(tuple(sorted(cells)), len(rows) == len(cols) == len(cells))
+        orbit_of.update(dict.fromkeys(cells, o))
+    return o
+
+
 def pair_orbits(
     pairs: Iterable[tuple[Perm, Perm]], n_a: int, n_b: int
 ) -> list[Orbit]:
-    """Orbits of the group generated by the pairs acting on A x B cells.
-
-    The group is finite, so forward moves reach whole orbits.  Each orbit
-    starts at the least cell that no earlier orbit holds, so the list is sorted.
-    """
+    """Every orbit of the group generated by the pairs acting on A x B cells,
+    sorted by least cell: the whole table, for tests and tracing.  Decisions
+    compute orbits on demand instead."""
     moves = [(alpha.images, beta.images) for alpha, beta in pairs]
     if not moves:
         raise ValueError("need at least one pair (identity pair allowed)")
-    seen = [[False] * n_b for _ in range(n_a)]
-    orbits: list[Orbit] = []
-    for a0 in range(n_a):
-        for b0 in range(n_b):
-            if seen[a0][b0]:
-                continue
-            cells = [(a0, b0)]
-            seen[a0][b0] = True
-            for a, b in cells:  # visits the cells appended below too
-                for am, bm in moves:
-                    a2, b2 = am[a], bm[b]
-                    if not seen[a2][b2]:
-                        seen[a2][b2] = True
-                        cells.append((a2, b2))
-            cells.sort()
-            rows = [a for a, _ in cells]
-            cols = [b for _, b in cells]
-            matchable = len(set(rows)) == len(cells) and len(set(cols)) == len(cells)
-            orbits.append(Orbit(tuple(cells), matchable))
-    return orbits
+    orbit_of: dict[tuple[int, int], Orbit] = {}
+    grid = itertools.product(range(n_a), range(n_b))
+    return [_orbit(cell, moves, orbit_of) for cell in grid if cell not in orbit_of]
 
 
 def _orbit_union_matching(
-    orbits: Sequence[Orbit], n_a: int, n_b: int, budget: Budget
+    moves: Sequence[tuple[Sequence[int], ...]], n_a: int, n_b: int, budget: Budget
 ) -> list[Orbit] | None:
     """Select matchable orbits whose union is a perfect matching of A x B.
 
-    Orbits are tried in lexicographic order (by least cell), always branching
-    on the first uncovered row, so the first solution found is canonical.
+    ``moves`` are the generators' (alpha, beta) image pairs.  The search
+    branches on the first uncovered row a and tries its cells (a, b) in
+    column order, computing each orbit when it first reaches it.  Earlier
+    rows are covered, so an orbit it can take has (a, b) as its least cell:
+    orbits are tried in lexicographic order, and the first solution is canonical.
     """
-    matchable = [o for o in orbits if o.matchable]
-    by_row: list[list[Orbit]] = [[] for _ in range(n_a)]
-    for o in matchable:
-        for a, _ in o.cells:
-            by_row[a].append(o)
+    orbit_of: dict[tuple[int, int], Orbit] = {}
     row_free = [True] * n_a
     col_free = [True] * n_b
     chosen: list[Orbit] = []
@@ -423,8 +428,11 @@ def _orbit_union_matching(
             a = row_free.index(True)
         except ValueError:
             return True
-        for o in by_row[a]:
-            if all(row_free[r] and col_free[c] for r, c in o.cells):
+        for b in range(n_b):
+            if not col_free[b]:
+                continue
+            o = _orbit((a, b), moves, orbit_of)
+            if o.matchable and all(row_free[r] and col_free[c] for r, c in o.cells):
                 budget.tick()
                 for r, c in o.cells:
                     row_free[r] = col_free[c] = False
@@ -462,9 +470,8 @@ def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
         if (t[:n_a] == id_a) != (t[n_a:2 * n_a] == id_b):
             witness = _splitter(n_a, f.n_c)(t)
             return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
-    pairs = [(t.alpha, t.beta) for t in gens] or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
-    orbits = pair_orbits(pairs, f.n_a, f.n_b)
-    chosen = _orbit_union_matching(orbits, f.n_a, f.n_b, budget)
+    moves = [(t.alpha.images, t.beta.images) for t in gens]
+    chosen = _orbit_union_matching(moves, f.n_a, f.n_b, budget)
     if chosen is None:
         return Certificate("not-exists", None, syms, "orbit-exhaustion")
     h = _matching_to_perm(chosen, f.n_a)

@@ -124,12 +124,7 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
-        if degree < 2:
-            return cls.trivial(degree)
-        gens = [Perm.from_cycles([(0, 1)], degree)]
-        if degree > 2:
-            gens.append(Perm.from_cycles([tuple(range(degree))], degree))
-        return cls(degree, tuple(gens))
+        return cls(degree, tuple(map(Perm._unchecked, _symmetric_images(degree))))
 
     @classmethod
     def generated(cls, generators: Iterable[Perm], degree: int | None = None) -> "PermGroup":
@@ -147,7 +142,7 @@ class PermGroup:
         may take any image without enumerating the group.  Other generating
         sets of the symmetric group answer False.
         """
-        return self.generators == PermGroup.symmetric(self.degree).generators
+        return tuple(g.images for g in self.generators) == _symmetric_images(self.degree)
 
     def elements(self) -> list[Perm]:
         """All group elements, sorted by image sequence.
@@ -173,6 +168,14 @@ class PermGroup:
             frontier = new
         self._elements = sorted(seen, key=lambda p: p.images)
         return self._elements
+
+
+def _symmetric_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of S_n as image tuples: (0 1), then (0 1 ... n-1) if n > 2."""
+    if n < 2:
+        return ()
+    swap = (1, 0, *range(2, n))
+    return (swap,) if n == 2 else (swap, (*range(1, n), 0))
 
 
 # -- cycle notation -----------------------------------------------------------

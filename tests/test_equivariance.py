@@ -32,7 +32,7 @@ from equidiv import (
     stabilizer,
 )
 from equidiv.corpus import two_by_two_counterexample
-from equidiv.equivariance import Orbit, Symmetries
+from equidiv.equivariance import Orbit, Symmetries, _matching_to_perm, _orbit_union_matching
 
 from conftest import random_bij
 
@@ -176,6 +176,72 @@ class TestOrbits:
     def test_requires_a_pair(self):
         with pytest.raises(ValueError):
             pair_orbits([], 2, 2)
+
+
+def table_matching(orbits, n_a, n_b, budget):
+    """The orbit matching over the whole orbit table, by definition: matchable
+    orbits in least-cell order, branching on the first uncovered row, one
+    budget tick per orbit taken.  The reference for the solver's matching,
+    which computes orbits on demand."""
+    by_row = [[o for o in orbits if o.matchable and any(r == a for r, _ in o.cells)]
+              for a in range(n_a)]
+    row_free, col_free, chosen = [True] * n_a, [True] * n_b, []
+
+    def backtrack():
+        if True not in row_free:
+            return True
+        for o in by_row[row_free.index(True)]:
+            if all(row_free[r] and col_free[c] for r, c in o.cells):
+                budget.tick()
+                for r, c in o.cells:
+                    row_free[r] = col_free[c] = False
+                chosen.append(o)
+                if backtrack():
+                    return True
+                chosen.pop()
+                for r, c in o.cells:
+                    row_free[r] = col_free[c] = True
+        return False
+
+    return chosen[:] if backtrack() else None
+
+
+@st.composite
+def matching_cases(draw):
+    """(f, group) at nA <= 4, nC <= 3, A possibly empty: random, parallel and
+    identity tables under full, trivial and random gens: subgroups."""
+    n_a, n_c = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "parallel", "identity"]))
+    if kind == "random":
+        f = ProdBij.from_flat(draw(st.permutations(range(n_a * n_c))), n_a, n_c)
+    elif kind == "parallel":
+        rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
+        f = ProdBij.parallel_from_rows(rows)
+    else:
+        f = ProdBij.identity(n_a, n_c)
+    group_kind = draw(st.sampled_from(["full", "trivial", "gens"]))
+    if group_kind == "full":
+        return f, PermGroup.symmetric(n_c)
+    if group_kind == "trivial":
+        return f, PermGroup.trivial(n_c)
+    return f, PermGroup.generated(draw(st.lists(perms_of(n_c), min_size=1, max_size=2)), n_c)
+
+
+class TestMatching:
+    @settings(max_examples=200, deadline=None)
+    @given(matching_cases())
+    def test_on_demand_orbits_match_the_table(self, case):
+        f, group = case
+        gens = stabilizer(f, group).generators
+        pairs = [(t.alpha, t.beta) for t in gens] or [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
+        want_budget, got_budget = Budget(), Budget()
+        want = table_matching(pair_orbits(pairs, f.n_a, f.n_b), f.n_a, f.n_b, want_budget)
+        moves = [(t.alpha.images, t.beta.images) for t in gens]
+        got = _orbit_union_matching(moves, f.n_a, f.n_b, got_budget)
+        assert got == want
+        if want is not None:
+            assert _matching_to_perm(got, f.n_a) == _matching_to_perm(want, f.n_a)
+        assert got_budget.used == want_budget.used
 
 
 class TestHalfFixed:

@@ -157,6 +157,13 @@ class TestPermGroup:
         with pytest.raises(ValueError):
             PermGroup(3, (Perm((0, 1)),))
 
+    def test_symmetric_generators_by_definition(self):
+        assert PermGroup.symmetric(0).generators == PermGroup.symmetric(1).generators == ()
+        assert PermGroup.symmetric(2).generators == (Perm.from_cycles([(0, 1)], 2),)
+        for n in range(3, 7):
+            want = (Perm.from_cycles([(0, 1)], n), Perm.from_cycles([tuple(range(n))], n))
+            assert PermGroup.symmetric(n).generators == want
+
     def test_is_symmetric_truth_table(self):
         for n in range(6):
             assert PermGroup.symmetric(n).is_symmetric()
