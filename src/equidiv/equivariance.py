@@ -6,20 +6,20 @@ Gamma also fixes h, i.e. h = alpha^-1 then h then beta.  Equivalently the
 graph of h is invariant under (a, b) -> (alpha(a), beta(b)), which turns the
 existence question into a perfect-matching search over orbits of A x B.
 
-The symmetries with gamma in Gamma form a group.  :func:`stabilizer` finds
-it with one propagation search in which alpha, beta and gamma are all
-search variables, and keeps it as a base and strong generating set: the
-base is the sequence of points the search branches on along the identity
-path, and each level needs one coset representative per point of its basic
-orbit.  The group is kept as the sorted list of its elements, each one
-permutation of the N points held as an image tuple, and the strong
-generators as triples.  Deciding and rendering read those tuples: the
-half-fixed witness is found by comparing slices of them, and a certificate
-is written from the tuples.  The matching and the soundness re-check use
-the generators alone; the matching computes each orbit on A x B from them
-when its search first reaches one of its cells, and :func:`pair_orbits` is
-the whole table, for tests and tracing.  A :class:`SymTriple` is built per
-listed triple only when a caller reads the list as triples.
+The symmetries with gamma in Gamma form a group.  :func:`stabilizer` first
+refines a colouring of the N = 2nA + nC points that every symmetry keeps: if
+all N colours differ, the group is the identity alone and nothing is
+searched.  Else one propagation search over alpha, beta and gamma, which
+keeps the colours, gives a base and strong generating set, with one coset
+representative per point of each basic orbit.  The group is kept as the
+sorted list of its elements, each an image tuple on the N points.  The
+half-fixed witness is found by comparing slices of those tuples, and a
+certificate is written from them.  With no generators the canonical matching
+is the identity; else the matching and the soundness re-check use the
+generators alone, and the matching computes each orbit on A x B when its
+search first reaches one of its cells.  :func:`pair_orbits` is the whole
+table, for tests and tracing.  A :class:`SymTriple` is built per listed
+triple only when a caller reads the list as triples.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def _symmetry_chain(
     One propagation search assigns alpha, beta and gamma values together.
     Once alpha(a) and gamma(c) are known, f(a, c) = (b, c') forces beta(b)
     and gamma(c'); once beta(b) and gamma(c') are known, f^-1 forces alpha
-    and gamma the same way.  A point may only go to a point with the same
-    invariant label.  Gamma values must extend to an element of Gamma: any
+    and gamma the same way.  A point may only go to a point of its own
+    refined colour.  Gamma values must extend to an element of Gamma: any
     unused point for the symmetric group, else only the images that some
     listed element allows.
 
@@ -166,11 +166,13 @@ def _symmetry_chain(
     n_a, n_c = f.n_a, f.n_c
     g0 = 2 * n_a
     n = g0 + n_c
+    label = _refine(f)
+    if len(set(label)) == n:  # discrete: the identity is the only symmetry
+        return [], []
     # fwd[c][a] = f(a, c) and bwd[c'][b] = f^-1(b, c') as points, read off the flat index
     starts = [c * n_a for c in range(n_c)]  # not a range: its step n_a may be 0
     fwd = [[(n_a + t % n_a, g0 + t // n_a) for t in f.fwd[r:r + n_a]] for r in starts]
     bwd = [[(s % n_a, g0 + s // n_a) for s in f.inv[r:r + n_a]] for r in starts]
-    label = _point_labels(f)
     allowed = None if group.is_symmetric() else [g.images for g in group.elements()]
 
     def extend(node, p: int, q: int):
@@ -270,38 +272,43 @@ def _symmetry_chain(
     return levels, gens
 
 
-def _point_labels(f: ProdBij) -> list[int]:
-    """A label per point of A ⊔ B ⊔ C that every symmetry preserves.
+def _refine(f: ProdBij) -> list[int]:
+    """A colour per point of A ⊔ B ⊔ C that every symmetry keeps.
 
-    Column a of f gives a map c -> c' on C, and a symmetry conjugates it by
-    gamma: its number of fixed points and its preimage sizes are kept.  The
-    same holds for f^-1 and B.  For C, row c of the count matrix
-    M[c][c'] = #{a : f(a, c) lies in B x {c'}} is permuted by gamma, and so
-    is its column.
+    Equitable refinement from the three parts: each round, a point's colour
+    becomes the multiset, over the cells (a, c, b, c') with f(a, c) = (b, c')
+    that hold it, of its place, the colours of the cell's points, whether
+    c == c' and how many cells share the cell's pairs (a, c'), (b, c) and
+    (c, c').  That includes its own colour, so rounds refine until the count
+    stops growing.  A symmetry maps cells to cells, place by place, so it
+    keeps every colour, whatever Gamma is.
     """
-    n_a, n_c = f.n_a, f.n_c
-    col = [[t // n_a for t in f.fwd[a::n_a]] for a in range(n_a)]  # col[a][c] = c'
-    back = [[s // n_a for s in f.inv[b::n_a]] for b in range(n_a)]  # back[b][c'] = c
-    m = [[0] * n_c for _ in range(n_c)]
-    for s, t in enumerate(f.fwd):
-        m[s // n_a][t // n_a] += 1
-
-    def shape(phi: list[int]) -> tuple:
-        sizes = [0] * n_c
-        for x in phi:
-            sizes[x] += 1
-        return sum(x == c for c, x in enumerate(phi)), tuple(sorted(sizes))
-
-    sigs = (
-        [("a", shape(phi)) for phi in col]
-        + [("b", shape(phi)) for phi in back]
-        + [
-            ("c", m[c][c], tuple(sorted(m[c])), tuple(sorted(r[c] for r in m)))
-            for c in range(n_c)
-        ]
-    )
-    ids: dict[tuple, int] = {}
-    return [ids.setdefault(s, len(ids)) for s in sigs]
+    n_a, g0, n = f.n_a, 2 * f.n_a, 2 * f.n_a + f.n_c
+    cells = [(s % n_a, g0 + s // n_a, n_a + t % n_a, g0 + t // n_a) for s, t in enumerate(f.fwd)]
+    pairs = [(a * n + c2, b * n + c, c * n + c2) for a, c, b, c2 in cells]
+    shared = [0] * (n * n)
+    for x in itertools.chain.from_iterable(pairs):
+        shared[x] += 1
+    facts = [
+        (c == c2, shared[x], shared[y], shared[z])
+        for (_, c, _, c2), (x, y, z) in zip(cells, pairs)
+    ]
+    colour = [0] * n_a + [1] * n_a + [2] * f.n_c
+    count = len(set(colour))
+    while True:
+        seen: list[list[int]] = [[] for _ in colour]
+        sigs: dict[tuple, int] = {}
+        for (a, c, b, c2), k in zip(cells, facts):
+            i = 4 * sigs.setdefault((colour[a], colour[c], colour[b], colour[c2], k), len(sigs))
+            seen[a].append(i)
+            seen[c].append(i + 1)
+            seen[b].append(i + 2)
+            seen[c2].append(i + 3)
+        ids: dict[tuple, int] = {}
+        colour = [ids.setdefault(tuple(sorted(s)), len(ids)) for s in seen]
+        if len(ids) in (count, n):  # stable, or discrete
+            return colour
+        count = len(ids)
 
 
 def _transversal(
@@ -470,6 +477,9 @@ def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
         if (t[:n_a] == id_a) != (t[n_a:2 * n_a] == id_b):
             witness = _splitter(n_a, f.n_c)(t)
             return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
+    if not gens:  # every orbit is one cell, so the canonical matching is the identity
+        budget.tick(n_a)
+        return Certificate("exists", Perm.identity(n_a), syms, "matching-found")
     moves = [(t.alpha.images, t.beta.images) for t in gens]
     chosen = _orbit_union_matching(moves, f.n_a, f.n_b, budget)
     if chosen is None:

@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import equidiv.equivariance as equivariance
@@ -11,6 +11,7 @@ from equidiv import (
     Budget,
     BudgetExceeded,
     CayleyTable,
+    Certificate,
     FormatError,
     Perm,
     PermGroup,
@@ -241,6 +242,20 @@ class TestMatching:
         assert got == want
         if want is not None:
             assert _matching_to_perm(got, f.n_a) == _matching_to_perm(want, f.n_a)
+        assert got_budget.used == want_budget.used
+
+    @settings(max_examples=100, deadline=None)
+    @given(matching_cases())
+    def test_decision_without_generators(self, case):
+        """With a trivial stabilizer, the decision skips the matching search
+        but returns its certificate at its cost."""
+        f, group = case
+        syms = stabilizer(f, group)
+        assume(len(syms) == 1)
+        want_budget, got_budget = Budget(), Budget()
+        chosen = _orbit_union_matching([], f.n_a, f.n_b, want_budget)
+        want = Certificate("exists", _matching_to_perm(chosen, f.n_a), syms, "matching-found")
+        assert equivariance._decide(f, syms, got_budget) == want
         assert got_budget.used == want_budget.used
 
 

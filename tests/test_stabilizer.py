@@ -27,7 +27,7 @@ from equidiv import (
     regular_rep,
     stabilizer,
 )
-from equidiv.equivariance import _symmetry_chain
+from equidiv.equivariance import _refine, _symmetry_chain
 
 from conftest import random_bij
 
@@ -87,6 +87,21 @@ def test_stabilizer_matches_oracle(case):
     assert pair_orbits(from_gens, f.n_a, f.n_b) == pair_orbits(from_all, f.n_a, f.n_b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_refined_colours_are_kept_by_every_symmetry(case):
+    f, group = case
+    colour = _refine(f)
+    n_a = f.n_a
+    want = oracle(f, group)
+    for t in want:
+        beta, gamma = (n_a + b for b in t.beta.images), (2 * n_a + c for c in t.gamma.images)
+        images = (*t.alpha.images, *beta, *gamma)
+        assert [colour[y] for y in images] == colour
+    if len(set(colour)) == len(colour):  # discrete: only the identity is left
+        assert want == [SymTriple(Perm.identity(n_a), Perm.identity(n_a), Perm.identity(f.n_c))]
+
+
 def _nodes(f: ProdBij, group: PermGroup) -> tuple[int, int]:
     """Budget used by the stabilizer, and the number of triples it returns."""
     budget = Budget()
@@ -104,7 +119,10 @@ def test_pinned_node_counts():
     assert _nodes(regular_rep(CayleyTable.cyclic(7)), PermGroup.symmetric(7)) == (361, 294)
     assert _nodes(checkered.bij, PermGroup.symmetric(6)) == (1353, 1296)
     assert _nodes(random_bij(random.Random(71), 7, 1), PermGroup.symmetric(1)) == (5075, 5040)
-    assert _nodes(random_bij(random.Random(25), 2, 5), PermGroup.symmetric(5)) == (7, 1)
+    # a trivial stabilizer: refinement gives all nine points their own colour
+    # and skips the search, or leaves colours shared and the search runs
+    assert _nodes(random_bij(random.Random(25), 2, 5), PermGroup.symmetric(5)) == (1, 1)
+    assert _nodes(random_bij(random.Random(5), 2, 5), PermGroup.symmetric(5)) == (7, 1)
 
 
 def _decision(f: ProdBij, group: PermGroup) -> tuple[int, str, str]:
@@ -115,8 +133,9 @@ def _decision(f: ProdBij, group: PermGroup) -> tuple[int, str, str]:
 
 
 def test_pinned_decision_counts():
-    """Budget use of equivariant_quotient, one instance per reason: the
-    stabilizer's count above plus one tick per orbit the matching takes."""
+    """Budget use of equivariant_quotient, one instance per reason and one
+    with a trivial stabilizer: the stabilizer's count above plus one tick
+    per orbit the matching takes."""
     checkered = checkered_product(parse_cycles("(a,b,c)(d,e,f)", "abcdef"), tuple("abcdef"))
     z7, q71 = regular_rep(CayleyTable.cyclic(7)), random_bij(random.Random(71), 7, 1)
     assert _decision(z7, PermGroup.symmetric(7)) == (361, "not-exists", "half-fixed-witness")
@@ -124,3 +143,5 @@ def test_pinned_decision_counts():
         1353, "not-exists", "orbit-exhaustion"
     )
     assert _decision(q71, PermGroup.symmetric(1)) == (5076, "exists", "matching-found")
+    discrete = random_bij(random.Random(25), 2, 5)
+    assert _decision(discrete, PermGroup.symmetric(5)) == (3, "exists", "matching-found")
