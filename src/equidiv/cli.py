@@ -12,29 +12,12 @@ import sys
 from pathlib import Path
 
 from .bijection import BijFile, parse_bijection, serialize_bijection
-from .corpus import run_corpus
 from .division import fp_divide, parallelize
-from .equivariance import (
-    DEFAULT_NODE_LIMIT,
-    Budget,
-    equivariant_quotient,
-    nonexistence_from_symmetries,
-    parse_symmetries,
-    render_certificate,
-    render_symmetries,
-    stabilizer,
-)
-from .errors import BudgetExceeded, EquidivError, FormatError
-from .gallery import (
-    CayleyTable,
-    checkered_product,
-    regular_rep,
-    render_parallel_table,
-    shift_table,
-)
-from .lazy import build_counterexample, render_lazy
+from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, EquidivError, FormatError
 from .perm import PermGroup, parse_cycles
-from .search import probe_cancelling
+
+# Each command imports the rest of the package when it runs, so that a
+# process loads only the modules its command needs.
 
 EXIT_NOT_EXISTS = 1
 EXIT_USAGE = 2
@@ -101,6 +84,8 @@ def _cmd_parallelize(args) -> int:
 
 
 def _cmd_stab(args) -> int:
+    from .equivariance import Budget, render_symmetries, stabilizer
+
     bf = _load(args.infile)
     group, _ = _resolve_group(args.group, _c_labels(bf))
     triples = stabilizer(bf.bij, group, Budget(args.budget))
@@ -111,6 +96,14 @@ def _cmd_stab(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from .equivariance import (
+        Budget,
+        equivariant_quotient,
+        nonexistence_from_symmetries,
+        parse_symmetries,
+        render_certificate,
+    )
+
     bf = _load(args.infile)
     c_labels = _c_labels(bf)
     budget = Budget(args.budget)
@@ -136,6 +129,15 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
+    from .gallery import (
+        CayleyTable,
+        checkered_product,
+        regular_rep,
+        render_parallel_table,
+        shift_table,
+    )
+    from .lazy import build_counterexample, render_lazy
+
     kind = args.kind
     if kind == "cyclic":
         f = regular_rep(CayleyTable.cyclic(int(args.arg)))
@@ -179,6 +181,9 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .equivariance import render_certificate
+    from .search import probe_cancelling
+
     c_labels = _default_labels(args.n_c, "letters")
     group, name = _resolve_group(args.group, c_labels)
     report = probe_cancelling(
@@ -207,6 +212,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .corpus import run_corpus
+
     return 0 if run_corpus(sys.stdout) else 1
 
 

@@ -31,10 +31,8 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .bijection import ProdBij
-from .errors import BudgetExceeded, FormatError
+from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, FormatError
 from .perm import Perm, PermGroup, parse_cycles, write_cycles
-
-DEFAULT_NODE_LIMIT = 10_000_000
 
 
 class Budget:

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the default search budget."""
 
 
 class EquidivError(Exception):
@@ -14,3 +14,7 @@ class BudgetExceeded(EquidivError):
 
     Raised instead of guessing; callers can retry with a larger budget.
     """
+
+
+#: Search nodes a solver run may use, unless ``--budget`` says otherwise.
+DEFAULT_NODE_LIMIT = 10_000_000

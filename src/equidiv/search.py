@@ -10,16 +10,13 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Callable, Sequence
 
 from .bijection import ProdBij
-from .division import fp_divide
-from .equivariance import DEFAULT_NODE_LIMIT, Budget, Certificate, equivariant_quotient
-from .errors import BudgetExceeded, EquidivError
-from .gallery import shift_table
+from .equivariance import Budget, Certificate, equivariant_quotient
+from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, EquidivError
 from .perm import Perm, PermGroup
 
 ALL_MODE_CAP = factorial(10)
@@ -63,6 +60,14 @@ class ProbeCounterexample:
     index: int
     bij: ProdBij
     certificate: Certificate
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first use so that
+    a scan in one process never loads the multiprocessing stack."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _scan_chunk(args) -> list[ProbeCounterexample]:
@@ -171,6 +176,8 @@ def probe_cancelling(
 
 
 def fp_basepoint_divider(star: int) -> Callable[[ProdBij], Perm]:
+    from .division import fp_divide
+
     return lambda f: fp_divide(f, star)
 
 
@@ -184,6 +191,8 @@ def extract_basepoint(
     point at the same row label (anything else means the divider is not a
     division method).
     """
+    from .gallery import shift_table
+
     if len(c_labels) != 3:
         raise ValueError("extraction gadget needs |C| = 3")
     picks = []
