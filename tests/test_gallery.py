@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from math import prod
 
 import pytest
 
@@ -23,6 +25,24 @@ from equidiv.corpus import (
     check_regular_rep_forcing,
     check_right_translation,
 )
+from equidiv.cli import main
+
+#: sha256 of ``gallery checkered SIGMA`` stdout (first 16 hex digits), for
+#: every fixed-point-free cycle type on at most six letters, and one sigma
+#: whose cycles interleave.
+CHECKERED_DIGESTS = {
+    "(a,b)": "29cd5aa55f51e70e",
+    "(a,b,c)": "09a1e24c07626393",
+    "(a,b,c,d)": "d85ffc43b31044ac",
+    "(a,b)(c,d)": "a48a5027cdf34682",
+    "(a,b,c,d,e)": "9f7d253a9b3e0ea8",
+    "(a,b,c)(d,e)": "58dfd6203ff7dd3f",
+    "(a,b,c,d,e,f)": "bd946b234b6177e2",
+    "(a,b,c,d)(e,f)": "540189fae551de94",
+    "(a,b,c)(d,e,f)": "ddb01fb1802c2566",
+    "(a,b)(c,d)(e,f)": "db6ea58975c53dcf",
+    "(a,c)(b,d,e)": "00c38345e2a880d0",
+}
 
 
 class TestCayleyTable:
@@ -104,16 +124,28 @@ class TestCheckered:
         with pytest.raises(ValueError):
             checkered_product(Perm.identity(0), ())
 
-    def test_every_triple_nontrivial_gamma(self):
-        prod = checkered_product(parse_cycles("(a,b)(c,d)", "abcd"), tuple("abcd"))
-        assert all(not t.gamma.is_identity() for t in prod.triples)
-        for t in prod.triples:
-            assert is_symmetry(prod.bij, t)
+    @pytest.mark.parametrize("sigma", CHECKERED_DIGESTS)
+    def test_output_digest(self, capsys, sigma):
+        assert main(["gallery", "checkered", sigma]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == CHECKERED_DIGESTS[sigma]
+
+    @pytest.mark.parametrize("sigma", CHECKERED_DIGESTS)
+    def test_every_triple_nontrivial_gamma(self, sigma):
+        letters = sorted({t for t in sigma if t.isalpha()})
+        parsed = parse_cycles(sigma, letters)
+        checkered = checkered_product(parsed, tuple(letters))
+        # one triple per choice of rotation for each cycle, less the identity
+        triples = checkered.triples
+        assert len(set(triples)) == len(triples) == prod(map(len, parsed.cycles())) - 1
+        assert all(not t.gamma.is_identity() for t in triples)
+        for t in triples:
+            assert is_symmetry(checkered.bij, t)
 
     def test_nonexistence_under_generated_group(self):
         sigma = parse_cycles("(a,b,c)(d,e)", "abcde")
-        prod = checkered_product(sigma, tuple("abcde"))
-        cert = equivariant_quotient(prod.bij, PermGroup.generated([sigma]))
+        checkered = checkered_product(sigma, tuple("abcde"))
+        cert = equivariant_quotient(checkered.bij, PermGroup.generated([sigma]))
         assert cert.verdict == "not-exists"
 
 

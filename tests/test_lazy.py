@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from equidiv import (
@@ -8,9 +11,45 @@ from equidiv import (
     lazy_check_symmetry,
     lazy_equal,
     ordering_gadget,
+    parse_cycles,
     render_lazy,
 )
+from equidiv.cli import main
 from equidiv.corpus import check_lazy_tables
+
+#: sha256 of ``gallery thm4 GAMMA --labels LABELS --window W`` stdout (first
+#: 16 hex digits) at W = 1, |C| and 3|C|, for every cycle type on at most six
+#: labels whose nontrivial cycles share one length.  The fixed labels come
+#: first, and the cycles interleave.
+THM4_DIGESTS = {
+    ("(a,b)", "a b"): ("a7402312c9330969", "19d031a679a4fb81", "b69c57958cdf41bc"),
+    ("(b,c)", "a b c"): ("d59c2c2c5a796f3a", "426107d853277c87", "f1cd747eb1bb7300"),
+    ("(a,b,c)", "a b c"): ("ac668702c8b3fc45", "2ba519621dcf6aa6", "9f4c48470338eaac"),
+    ("(c,d)", "a b c d"): ("173347fa28256509", "4eab97d7dc3c9217", "962b0a1fa7a224cb"),
+    ("(a,c)(b,d)", "a b c d"): ("f58a5b5c99d5e06e", "7c3992fbdccfda32", "335c10a67faa8d48"),
+    ("(b,c,d)", "a b c d"): ("391473396f0cf547", "7295ab36352e5408", "13ef163bc4881585"),
+    ("(a,b,c,d)", "a b c d"): ("a97047da4a5b9567", "dd4f6cb36ba9b7c4", "7003d44bdabad9fc"),
+    ("(d,e)", "a b c d e"): ("0cb19e1473232b16", "d96f195c6d4fcc92", "cf55c2869793db8a"),
+    ("(b,d)(c,e)", "a b c d e"): ("26aee42826156f3e", "a129e780802a2c00", "cc511c7ac4b35cc3"),
+    ("(c,d,e)", "a b c d e"): ("e777f2d50d610245", "18d0ba582a8792e0", "1d65b9a1645bc7d6"),
+    ("(b,c,d,e)", "a b c d e"): ("26aee42826156f3e", "25ba33d1062c48f3", "911dc5581923cde3"),
+    ("(a,b,c,d,e)", "a b c d e"): ("7ab0f0495a1849d5", "495c8a82f946408d", "9bc5662fccd54c11"),
+    ("(e,f)", "a b c d e f"): ("badb89ea506397b6", "f2843ac0068b2d7b", "a3dc791f6be5b5f9"),
+    ("(c,e)(d,f)", "a b c d e f"): ("161763d537035445", "9c8f70638df14d0e", "22338edd9abe0b0e"),
+    ("(a,d)(b,e)(c,f)", "a b c d e f"): (
+        "526f4c8f864e0611", "3c3a27c5c91d59bb", "fe64f78437dc8aee"
+    ),
+    ("(d,e,f)", "a b c d e f"): ("e60ceafe7acfc9a7", "d0d02f446cfefe14", "8d7d53c6e90408b8"),
+    ("(a,c,e)(b,d,f)", "a b c d e f"): (
+        "9acc3ebe4ff81d67", "570e3bb65d661d41", "28c25cb568d65fb8"
+    ),
+    ("(c,d,e,f)", "a b c d e f"): ("161763d537035445", "aa04ec0549a03523", "d94a51f053413bb2"),
+    ("(b,c,d,e,f)", "a b c d e f"): ("c0defdfa1bedc0f9", "da68e33f1b92b46b", "5d817f3d6aa7dd12"),
+    ("(a,b,c,d,e,f)", "a b c d e f"): (
+        "92c36425cc937ec6", "a892d83a24a0db4c", "75c59a17b32407d0"
+    ),
+}
+THM4_CASES = list(THM4_DIGESTS)
 
 
 class TestSymbolPerm:
@@ -47,13 +86,34 @@ class TestBuildCounterexample:
         lazy = build_counterexample(power, tuple("abcde"))
         assert lazy_check_symmetry(lazy, lazy.beta_on_symbols, lazy.gamma)
 
-    def test_structural_bijectivity(self):
-        # every output cell in a window is hit exactly once
-        lazy = build_counterexample(Perm.from_cycles([(0, 1, 2)], 4), tuple("abcd"))
-        outputs = [lazy.eval(n, i) for i in range(4) for n in range(1, 13)]
+    @pytest.mark.parametrize("gamma,labels", THM4_CASES)
+    @pytest.mark.parametrize("k", range(3), ids=["w1", "wC", "w3C"])
+    def test_output_digest(self, capsys, gamma, labels, k):
+        n_c = len(labels.split())
+        window = (1, n_c, 3 * n_c)[k]
+        argv = ["gallery", "thm4", gamma, "--labels", labels, "--window", str(window)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == THM4_DIGESTS[gamma, labels][k]
+
+    @pytest.mark.parametrize("gamma,labels", THM4_CASES)
+    def test_structural_bijectivity(self, gamma, labels):
+        labels = tuple(labels.split())
+        lazy = build_counterexample(parse_cycles(gamma, labels), labels)
+        n_c = len(labels)
+        # no output cell in a window is hit twice, and the symbol cells all are
+        outputs = [lazy.eval(n, i) for i in range(n_c) for n in range(1, 3 * n_c + 1)]
         assert len(outputs) == len(set(outputs))
-        ints = [(v, c) for v, c in outputs if isinstance(v, int)]
-        assert all(1 <= v for v, _ in ints)
+        symbol_cells = {(v, c) for v, c in outputs if isinstance(v, str)}
+        assert symbol_cells == set(itertools.product(lazy.symbols, range(n_c)))
+        assert all(v >= 1 for v, _ in outputs if isinstance(v, int))
+        # the printed beta is the only symbol permutation that goes with gamma
+        beta = lazy.beta_on_symbols
+        assert lazy_check_symmetry(lazy, beta, lazy.gamma)
+        for images in itertools.permutations(lazy.symbols):
+            if images != tuple(map(beta, lazy.symbols)):
+                other = SymbolPerm(tuple(zip(lazy.symbols, images)))
+                assert not lazy_check_symmetry(lazy, other, lazy.gamma)
 
     def test_eval_rejects_nonpositive_column(self):
         lazy = ordering_gadget("a", "b", "c")
