@@ -13,7 +13,7 @@ _EXPORTS = {
     "serialize_bijection",
     "bruteforce": "all_equivariant_quotients quotient_exists_bruteforce",
     "division": "fp_divide parallelize",
-    "equivariance": "Budget Certificate Orbit SymTriple apply_pair equivariant_quotient "
+    "equivariance": "Budget Certificate Orbit apply_pair equivariant_quotient "
     "is_symmetry nonexistence_from_symmetries pair_orbits parse_symmetries "
     "render_certificate render_symmetries stabilizer",
     "errors": "BudgetExceeded EquidivError FormatError",
@@ -21,7 +21,7 @@ _EXPORTS = {
     "render_parallel_table shift_table",
     "lazy": "LazyBij SymbolPerm build_counterexample lazy_apply_symbols "
     "lazy_check_symmetry lazy_equal ordering_gadget render_lazy",
-    "perm": "Perm PermGroup format_cycles parse_cycles",
+    "perm": "Perm PermGroup SymTriple format_cycles parse_cycles",
     "search": "ProbeReport extract_basepoint fp_basepoint_divider gcd_filter "
     "probe_cancelling",
 }

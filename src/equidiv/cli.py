@@ -25,8 +25,8 @@ EXIT_INVALID = 3
 EXIT_BUDGET = 4
 
 
-def _default_labels(n: int, kind: str) -> tuple[str, ...]:
-    if kind == "letters" and n <= 26:
+def _default_labels(n: int) -> tuple[str, ...]:
+    if n <= 26:
         return tuple(chr(ord("a") + i) for i in range(n))
     return tuple(str(i) for i in range(n))
 
@@ -136,12 +136,11 @@ def _cmd_gallery(args) -> int:
         render_parallel_table,
         shift_table,
     )
-    from .lazy import build_counterexample, render_lazy
 
     kind = args.kind
     if kind == "cyclic":
         f = regular_rep(CayleyTable.cyclic(int(args.arg)))
-        labels = _default_labels(f.n_c, "letters")
+        labels = _default_labels(f.n_c)
         sys.stdout.write(serialize_bijection(f, None, None, labels))
     elif kind == "klein":
         f = regular_rep(CayleyTable.klein())
@@ -164,6 +163,8 @@ def _cmd_gallery(args) -> int:
             serialize_bijection(prod.bij, prod.a_labels, prod.b_labels, prod.c_labels)
         )
     elif kind == "thm4":
+        from .lazy import build_counterexample, render_lazy
+
         labels = tuple(args.labels.split()) if args.labels else None
         if labels is None:
             labels = tuple(sorted({t for t in args.arg if t.isalpha()}))
@@ -184,7 +185,7 @@ def _cmd_probe(args) -> int:
     from .equivariance import render_certificate
     from .search import probe_cancelling
 
-    c_labels = _default_labels(args.n_c, "letters")
+    c_labels = _default_labels(args.n_c)
     group, name = _resolve_group(args.group, c_labels)
     report = probe_cancelling(
         args.n_a,
@@ -288,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, EquidivError, ValueError, OSError, IndexError) as exc:
+    except (EquidivError, ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bijection import ProdBij
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, FormatError
-from .perm import Perm, PermGroup, parse_cycles, write_cycles
+from .perm import Perm, PermGroup, SymTriple, parse_cycles, write_cycles
 
 
 class Budget:
@@ -48,15 +48,6 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise BudgetExceeded(f"search exceeded {self.limit} nodes")
-
-
-@dataclass(frozen=True)
-class SymTriple:
-    """(alpha, beta, gamma) with the transform by the triple fixing f."""
-
-    alpha: Perm
-    beta: Perm
-    gamma: Perm
 
 
 @dataclass(frozen=True)
@@ -207,22 +198,20 @@ def _symmetry_chain(
         return img, pre, els
 
     def pick(img: list[int]) -> int | None:
-        """The next point to branch on: gamma and alpha in turn, beta last."""
+        """The next point to branch on: gamma and alpha in turn."""
         alphas, gammas = img[:n_a], img[g0:]
         free_a, free_c = alphas.count(-1), gammas.count(-1)
         if free_c and (not free_a or n_c - free_c <= n_a - free_a):
             return g0 + gammas.index(-1)
-        if free_a:
-            return alphas.index(-1)
-        betas = img[n_a:g0]
-        return n_a + betas.index(-1) if -1 in betas else None
+        # once alpha and gamma are set, the fired cells set beta: f is onto B x C
+        return alphas.index(-1) if free_a else None
 
     def candidates(node, p: int) -> list[int]:
         pre, els = node[1], node[2]
         if p >= g0 and els is not None:
             pool = sorted({g0 + g[p - g0] for g in els})
         else:
-            pool = range(n_a) if p < n_a else range(n_a, g0) if p < g0 else range(g0, n)
+            pool = range(n_a) if p < n_a else range(g0, n)
         return [y for y in pool if pre[y] < 0 and label[y] == label[p]]
 
     def solve(node) -> tuple[int, ...] | None:
@@ -362,6 +351,8 @@ def stabilizer(
     """
     if group.degree != f.n_c:
         raise ValueError("group degree must equal nC")
+    if f.n_c == 0:
+        raise ValueError("nC must be >= 1: C must be non-empty")
     budget = budget or Budget()
     levels, gens = _symmetry_chain(f, group, budget)
     budget.tick(prod(len(reps) for reps in levels))

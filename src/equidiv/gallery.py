@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bijection import ProdBij
-from .equivariance import SymTriple
-from .perm import Perm
+from .perm import Perm, SymTriple
 
 BAR = "̄"  # combining macron: 0-bar renders as "0̄"
 
@@ -93,61 +92,45 @@ def checkered_product(
     precede unbarred ones.  Returns the bijection together with one symmetry
     per cycle rotation and all their products.
     """
-    if sigma.fixed_points():
+    cycles = sigma.cycles()
+    if any(len(cyc) == 1 for cyc in cycles):
         raise ValueError("sigma must have no fixed points")
-    if not sigma.degree:
+    if not cycles:
         raise ValueError("sigma must move at least one point")
     if c_labels is None:
         c_labels = tuple(str(i) for i in range(sigma.degree))
     c_labels = tuple(c_labels)
     if len(c_labels) != sigma.degree:
         raise ValueError("label count must match degree")
-    cycles = sigma.cycles()
-    rev = list(reversed(cycles))  # component t holds cycle rev[t]
-    comp_of_c: dict[int, tuple[int, int, int]] = {}  # c -> (component, position, length)
-    for t, cyc in enumerate(rev):
-        for m, c in enumerate(cyc):
-            comp_of_c[c] = (t, m, len(cyc))
+    rev = cycles[::-1]  # component t holds cycle rev[t]
+    lengths = [len(cyc) for cyc in rev]
+    comp_of_c = {c: (t, m) for t, cyc in enumerate(rev) for m, c in enumerate(cyc)}
 
-    # coordinate values: 0..l-1 barred, l..2l-1 unbarred
-    ranges = [range(2 * len(cyc)) for cyc in rev]
-    tuples = list(itertools.product(*ranges))
-
-    def parity(tup: tuple[int, ...]) -> int:
-        return sum(1 for t, x in enumerate(tup) if x >= len(rev[t])) % 2
-
-    a_elems = [tup for tup in tuples if parity(tup) == 0]
-    b_elems = [tup for tup in tuples if parity(tup) == 1]
-    a_index = {tup: i for i, tup in enumerate(a_elems)}
-    b_index = {tup: i for i, tup in enumerate(b_elems)}
+    # coordinate values: 0..l-1 barred, l..2l-1 unbarred; A has an even
+    # number of unbarred coordinates, B an odd one
+    sides: tuple[list, list] = ([], [])
+    for tup in itertools.product(*(range(2 * l) for l in lengths)):
+        sides[sum(x >= l for x, l in zip(tup, lengths)) % 2].append(tup)
+    a_elems, b_elems = sides
+    index = {tup: i for side in sides for i, tup in enumerate(side)}
 
     def act(tup: tuple[int, ...], c: int) -> tuple[int, ...]:
-        t, m, l = comp_of_c[c]
-        x = tup[t]
-        x2 = l + (x + m) % l if x < l else (x - l - m) % l
-        return tup[:t] + (x2,) + tup[t + 1:]
+        # row c at position m of its cycle flips that cycle's component:
+        # barred x goes to unbarred x + m, unbarred x to barred x - m
+        t, m = comp_of_c[c]
+        l, x = lengths[t], tup[t]
+        x = l + (x + m) % l if x < l else (x - m) % l
+        return tup[:t] + (x,) + tup[t + 1:]
 
     n_a = len(a_elems)
     bij = ProdBij.from_flat(
-        [c * n_a + b_index[act(tup, c)] for c in range(sigma.degree) for tup in a_elems],
+        [c * n_a + index[act(tup, c)] for c in range(sigma.degree) for tup in a_elems],
         n_a,
         sigma.degree,
     )
 
     def display(tup: tuple[int, ...]) -> str:
-        parts = []
-        for t, x in enumerate(tup):
-            l = len(rev[t])
-            parts.append(f"{x}{BAR}" if x < l else str(x - l))
-        return "".join(parts)
-
-    def shift_tuple(tup: tuple[int, ...], t: int, e: int) -> tuple[int, ...]:
-        # rotate the unbarred part of component t by e; barred part fixed
-        l = len(rev[t])
-        x = tup[t]
-        if x >= l:
-            x = l + (x - l + e) % l
-        return tup[:t] + (x,) + tup[t + 1:]
+        return "".join(f"{x}{BAR}" if x < l else str(x - l) for x, l in zip(tup, lengths))
 
     triples: list[SymTriple] = []
     for exps in itertools.product(*(range(len(cyc)) for cyc in cycles)):
@@ -157,17 +140,14 @@ def checkered_product(
         for cyc, e in zip(cycles, exps):
             for m, c in enumerate(cyc):
                 gamma_img[c] = cyc[(m + e) % len(cyc)]
-        gamma = Perm(tuple(gamma_img))
+        shifts = list(zip(lengths, reversed(exps)))  # per component: length, exponent
 
-        def side(tup: tuple[int, ...]) -> tuple[int, ...]:
-            for cyc, e in zip(cycles, exps):
-                t = rev.index(cyc)
-                tup = shift_tuple(tup, t, e)
-            return tup
+        def rotated(tup: tuple[int, ...]) -> int:
+            # each component's unbarred part turns by its cycle's exponent
+            return index[tuple(x if x < l else l + (x + e) % l for x, (l, e) in zip(tup, shifts))]
 
-        alpha = Perm(tuple(a_index[side(tup)] for tup in a_elems))
-        beta = Perm(tuple(b_index[side(tup)] for tup in b_elems))
-        triples.append(SymTriple(alpha, beta, gamma))
+        alpha, beta = (Perm(tuple(map(rotated, elems))) for elems in sides)
+        triples.append(SymTriple(alpha, beta, Perm(tuple(gamma_img))))
 
     return CheckeredProduct(
         bij,

@@ -3,13 +3,15 @@
 Rows range over a finite C, columns over the positive integers.  Rows moved
 by a distinguished permutation of C own one symbol each and map their first
 |C| columns into symbols; past the header they shift integers down by |C|.
-Rows fixed by the permutation map column j to j unchanged.  Structural
-bijectivity is a finite case analysis and is verified on construction.
+Rows fixed by the permutation map column j to j unchanged.  A table stores
+only C's labels, the permutation and the moved rows' symbols; the header is
+derived from them, and so is bijective by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .perm import Perm
@@ -48,16 +50,28 @@ class SymbolPerm:
 
 @dataclass(frozen=True)
 class LazyBij:
-    """A bijection (positive integers) x C -> (symbols + positive integers) x C."""
+    """A bijection (positive integers) x C -> (symbols + positive integers) x C.
+
+    Gamma and the moved rows' symbols determine the table.  Row x, at
+    position i of its gamma-cycle (cycles start at their least point), maps
+    column j <= |C| to (x's symbol, gamma^i of the j-th C index); the shifted
+    tail and the fixed rows then cover the integer cells once each.
+    """
 
     c_labels: tuple[str, ...]
     gamma: Perm
     symbol_by_row: tuple[object, ...]  # str for moved rows, None for fixed
-    header: tuple[object, ...]  # per row: tuple of width LazyValue entries, or None
-    beta_on_symbols: SymbolPerm
 
     def __post_init__(self) -> None:
-        self.validate()
+        n_c = len(self.c_labels)
+        if self.gamma.degree != n_c or len(self.symbol_by_row) != n_c:
+            raise ValueError("row metadata shape mismatch")
+        for i, s in enumerate(self.symbol_by_row):
+            if (self.gamma(i) != i) != (s is not None):
+                raise ValueError("moved/fixed classification disagrees with gamma")
+        symbols = self.symbols
+        if len(set(symbols)) != len(symbols) or not all(isinstance(s, str) for s in symbols):
+            raise ValueError("moved rows need distinct string symbols")
 
     @property
     def width(self) -> int:
@@ -67,49 +81,34 @@ class LazyBij:
     def symbols(self) -> tuple[str, ...]:
         return tuple(s for s in self.symbol_by_row if s is not None)
 
-    def validate(self) -> None:
-        """Case analysis establishing that every output cell is hit once.
+    @property
+    def beta_on_symbols(self) -> SymbolPerm:
+        """The symbol shift along gamma: x's symbol goes to gamma(x)'s."""
+        by_row = self.symbol_by_row
+        return SymbolPerm(
+            tuple((s, by_row[self.gamma(i)]) for i, s in enumerate(by_row) if s is not None)
+        )
 
-        Header cells must cover symbols x C exactly; the shifted tails of
-        moved rows and the full rules of fixed rows then cover the integer
-        cells (n, c) exactly once each, by construction of the rules.
-        """
-        n_c = len(self.c_labels)
-        if self.gamma.degree != n_c or len(self.symbol_by_row) != n_c:
-            raise ValueError("row metadata shape mismatch")
-        if len(self.header) != n_c:
-            raise ValueError("header shape mismatch")
-        for i in range(n_c):
-            moved = self.gamma(i) != i
-            if moved != (self.symbol_by_row[i] is not None):
-                raise ValueError("moved/fixed classification disagrees with gamma")
-            if moved != (self.header[i] is not None):
-                raise ValueError("header present iff row is moved")
-        cells = set()
-        for i, head in enumerate(self.header):
-            if head is None:
-                continue
-            if len(head) != n_c:
-                raise ValueError("header row must have |C| entries")
-            for v, c in head:
-                if not isinstance(v, str):
-                    raise ValueError("header entries must be symbols")
-                if not 0 <= c < n_c:
-                    raise ValueError("header C index out of range")
-                cells.add((v, c))
-        want = {(s, c) for s in self.symbols for c in range(n_c)}
-        if cells != want:
-            raise ValueError("header does not cover symbols x C exactly once")
+    @cached_property
+    def _powers(self) -> list[tuple[int, ...]]:
+        """Per row x at position i of its gamma-cycle, the images of gamma^i."""
+        out = [()] * self.width
+        for cyc in self.gamma.cycles():
+            power = Perm.identity(self.width)
+            for x in cyc:
+                out[x] = power.images
+                power = power.then(self.gamma)
+        return out
 
     def eval(self, n: int, row: int) -> LazyValue:
         """Table entry at column n >= 1 of the given C row."""
         if n < 1:
             raise ValueError("columns are 1-based")
-        head = self.header[row]
-        if head is None:
+        symbol = self.symbol_by_row[row]
+        if symbol is None:
             return (n, row)
         if n <= self.width:
-            return head[n - 1]
+            return (symbol, self._powers[row][n - 1])
         return (n - self.width, row)
 
 
@@ -118,13 +117,11 @@ def lazy_check_symmetry(lazy: LazyBij, beta: SymbolPerm, gamma: Perm) -> bool:
 
     Header columns are compared entry by entry; beyond the header both sides
     reduce to the shift/full rules, which agree exactly when gamma maps moved
-    rows to moved rows and fixed rows to fixed rows.  Nothing is sampled.
+    rows to moved rows, as the first column shows (symbols against integers).
+    Nothing is sampled.
     """
     if gamma.degree != len(lazy.c_labels):
         raise ValueError("gamma degree mismatch")
-    for i in range(len(lazy.c_labels)):
-        if (lazy.header[i] is None) != (lazy.header[gamma(i)] is None):
-            return False
     for i in range(len(lazy.c_labels)):
         for n in range(1, lazy.width + 1):
             v, c = lazy.eval(n, i)
@@ -135,19 +132,13 @@ def lazy_check_symmetry(lazy: LazyBij, beta: SymbolPerm, gamma: Perm) -> bool:
 
 def lazy_apply_symbols(lazy: LazyBij, beta: SymbolPerm) -> LazyBij:
     """Post-compose with a symbol permutation (identity on integers)."""
-    header = tuple(
-        None if head is None else tuple((beta(v), c) for v, c in head)
-        for head in lazy.header
-    )
-    symbol_by_row = tuple(
-        None if s is None else beta(s) for s in lazy.symbol_by_row
-    )
-    conj = tuple((beta(s), beta(d)) for s, d in lazy.beta_on_symbols.mapping)
-    return LazyBij(lazy.c_labels, lazy.gamma, symbol_by_row, header, SymbolPerm(conj))
+    symbol_by_row = tuple(None if s is None else beta(s) for s in lazy.symbol_by_row)
+    return LazyBij(lazy.c_labels, lazy.gamma, symbol_by_row)
 
 
 def lazy_equal(x: LazyBij, y: LazyBij) -> bool:
-    """Equality as functions, matching rows by label rather than position."""
+    """Equality as functions, matching rows by label rather than position;
+    past the header a row's rule follows from its first entry."""
     if set(x.c_labels) != set(y.c_labels):
         return False
     if x.width != y.width:
@@ -155,8 +146,6 @@ def lazy_equal(x: LazyBij, y: LazyBij) -> bool:
     for label in x.c_labels:
         xi = x.c_labels.index(label)
         yi = y.c_labels.index(label)
-        if (x.header[xi] is None) != (y.header[yi] is None):
-            return False
         for n in range(1, x.width + 1):
             xv, xc = x.eval(n, xi)
             yv, yc = y.eval(n, yi)
@@ -183,8 +172,7 @@ def build_counterexample(gamma: Perm, c_labels: Sequence[str]) -> LazyBij:
     """The header-plus-shift-tail bijection witnessing that gamma obstructs.
 
     Requires every nontrivial cycle of gamma to have the same length (take a
-    suitable power first if not).  Each moved row x, at position i of its
-    cycle, maps header column j to (symbol of x, gamma^i of the j-th label);
+    suitable power first if not).  The moved rows take symbols in row order;
     the printed symmetry is (id, symbol shift along the cycles, gamma).
     """
     c_labels = tuple(c_labels)
@@ -198,28 +186,9 @@ def build_counterexample(gamma: Perm, c_labels: Sequence[str]) -> LazyBij:
             "nontrivial cycles of gamma differ in length; use a power of gamma"
             " whose nontrivial cycles all have one length"
         )
-    moved = [i for i in range(gamma.degree) if gamma(i) != i]
-    symbol: dict[int, str] = {x: _symbol(k) for k, x in enumerate(moved)}
-    position = {}
-    for cyc in gamma.cycles():
-        if len(cyc) > 1:
-            for i, x in enumerate(cyc):
-                position[x] = i
-    powers = [Perm.identity(gamma.degree)]
-    for _ in range(max(position.values(), default=0)):
-        powers.append(powers[-1].then(gamma))
-    header: list[object] = []
-    symbol_by_row: list[object] = []
-    for x in range(gamma.degree):
-        if x in symbol:
-            g_i = powers[position[x]]
-            header.append(tuple((symbol[x], g_i(j)) for j in range(len(c_labels))))
-            symbol_by_row.append(symbol[x])
-        else:
-            header.append(None)
-            symbol_by_row.append(None)
-    beta = SymbolPerm(tuple((symbol[x], symbol[gamma(x)]) for x in moved))
-    return LazyBij(c_labels, gamma, tuple(symbol_by_row), tuple(header), beta)
+    moved = [x for x in range(gamma.degree) if gamma(x) != x]
+    symbol = {x: _symbol(k) for k, x in enumerate(moved)}
+    return LazyBij(c_labels, gamma, tuple(symbol.get(x) for x in range(gamma.degree)))
 
 
 def ordering_gadget(first: str, second: str, fixed: str) -> LazyBij:

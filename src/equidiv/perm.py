@@ -1,11 +1,11 @@
-"""Permutations of {0..n-1} and small permutation groups.
+"""Permutations of {0..n-1}, small permutation groups, and symmetry triples.
 
 Composition uses the "then" order throughout: ``p.then(q)`` maps x to
 q(p(x)).  Points are always 0-based indices; human-readable labels only
 appear at the I/O boundary (see :func:`parse_cycles` / :func:`format_cycles`).
 
 Images are checked where they enter: ``Perm(...)``, :meth:`Perm.from_cycles`
-and :func:`parse_cycles`.  Products, inverses and identities skip the check.
+and :func:`parse_cycles`.  Products and identities skip the check.
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ class Perm:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         return Perm._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
-    def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm._unchecked(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -100,8 +94,15 @@ class Perm:
             out.append(tuple(cyc))
         return out
 
-    def fixed_points(self) -> set[int]:
-        return {i for i, j in enumerate(self.images) if i == j}
+
+@dataclass(frozen=True)
+class SymTriple:
+    """Permutations alpha of A, beta of B and gamma of C: a symmetry of
+    f : A x C -> B x C when relabeling f by them gives f back."""
+
+    alpha: Perm
+    beta: Perm
+    gamma: Perm
 
 
 @dataclass

@@ -7,6 +7,12 @@ def random_perm(rng: random.Random, n: int) -> Perm:
     return Perm(tuple(rng.sample(range(n), n)))
 
 
+def inverse(p: Perm) -> Perm:
+    """p^-1, by definition: each point goes to the point that p maps to it."""
+    preimage = {y: x for x, y in enumerate(p.images)}
+    return Perm(tuple(preimage[y] for y in range(p.degree)))
+
+
 def random_bij(rng: random.Random, n_a: int, n_c: int) -> ProdBij:
     flat = rng.sample(range(n_a * n_c), n_a * n_c)
     return ProdBij.from_flat(flat, n_a, n_c)

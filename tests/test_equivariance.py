@@ -35,7 +35,7 @@ from equidiv import (
 from equidiv.corpus import two_by_two_counterexample
 from equidiv.equivariance import Orbit, Symmetries, _matching_to_perm, _orbit_union_matching
 
-from conftest import random_bij
+from conftest import inverse, random_bij
 
 
 def halffixed_witness(symmetries):
@@ -66,7 +66,7 @@ class TestStabilizer:
             f = random_bij(rng, 3, 2)
             syms = set(stabilizer(f, PermGroup.symmetric(2)))
             for s in syms:
-                assert SymTriple(s.alpha.inverse(), s.beta.inverse(), s.gamma.inverse()) in syms
+                assert SymTriple(inverse(s.alpha), inverse(s.beta), inverse(s.gamma)) in syms
                 for t in syms:
                     assert compose(s, t) in syms
 
@@ -104,6 +104,11 @@ class TestStabilizer:
         with pytest.raises(ValueError):
             stabilizer(ProdBij.identity(2, 2), PermGroup.symmetric(3))
 
+    def test_empty_c_rejected(self):
+        # with C empty no cell ties beta to alpha, so nothing forces beta
+        with pytest.raises(ValueError, match="C must be non-empty"):
+            stabilizer(ProdBij.identity(2, 0), PermGroup.symmetric(0))
+
     def test_budget(self):
         f = ProdBij.identity(4, 2)  # huge stabilizer: every (alpha, alpha)
         with pytest.raises(BudgetExceeded):
@@ -118,7 +123,7 @@ class TestStabilizer:
 def orbits_both_ways(pairs, n_a, n_b):
     """Orbits on A x B cells following each pair and its inverse, sorted by least cell."""
     moves = [(a.images, b.images) for a, b in pairs]
-    moves += [(a.inverse().images, b.inverse().images) for a, b in pairs]
+    moves += [(inverse(a).images, inverse(b).images) for a, b in pairs]
     placed = set()
     orbits = []
     for cell in itertools.product(range(n_a), range(n_b)):

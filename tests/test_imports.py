@@ -27,7 +27,7 @@ EXPORTS = {
     "bruteforce": ["all_equivariant_quotients", "quotient_exists_bruteforce"],
     "division": ["fp_divide", "parallelize"],
     "equivariance": [
-        "Budget", "Certificate", "Orbit", "SymTriple", "apply_pair",
+        "Budget", "Certificate", "Orbit", "apply_pair",
         "equivariant_quotient", "is_symmetry", "nonexistence_from_symmetries",
         "pair_orbits", "parse_symmetries", "render_certificate", "render_symmetries",
         "stabilizer",
@@ -41,7 +41,7 @@ EXPORTS = {
         "LazyBij", "SymbolPerm", "build_counterexample", "lazy_apply_symbols",
         "lazy_check_symmetry", "lazy_equal", "ordering_gadget", "render_lazy",
     ],
-    "perm": ["Perm", "PermGroup", "format_cycles", "parse_cycles"],
+    "perm": ["Perm", "PermGroup", "SymTriple", "format_cycles", "parse_cycles"],
     "search": [
         "ProbeReport", "extract_basepoint", "fp_basepoint_divider", "gcd_filter",
         "probe_cancelling",
@@ -105,6 +105,22 @@ class TestImportsOnDemand:
         loaded = modules_after(code, tmp_path)
         assert package_modules(loaded) == SHARED | {"equidiv.equivariance", "equidiv.search"}
         assert not loaded & HEAVY
+
+    @pytest.mark.parametrize(
+        "args,extra",
+        [
+            (["cyclic", "6"], set()),
+            (["klein"], set()),
+            (["checkered", "(a,b,c)(d,e)"], set()),
+            (["gadget-xyz", "y,z,x"], set()),
+            (["thm4", "(a,b)", "--window", "3"], {"equidiv.lazy"}),
+        ],
+        ids=["cyclic", "klein", "checkered", "gadget-xyz", "thm4"],
+    )
+    def test_gallery_loads_no_solver(self, tmp_path, args, extra):
+        code = f"from equidiv.cli import main\nassert main({['gallery', *args]!r}) == 0"
+        loaded = package_modules(modules_after(code, tmp_path))
+        assert loaded == SHARED | {"equidiv.gallery"} | extra
 
 
 class TestExportTable:

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from equidiv import (
+    LazyBij,
     Perm,
     SymbolPerm,
     build_counterexample,
@@ -114,6 +115,20 @@ class TestBuildCounterexample:
             if images != tuple(map(beta, lazy.symbols)):
                 other = SymbolPerm(tuple(zip(lazy.symbols, images)))
                 assert not lazy_check_symmetry(lazy, other, lazy.gamma)
+
+    @pytest.mark.parametrize(
+        "symbol_by_row",
+        [
+            ("K", "Q"),  # one row too few
+            ("K", None, None),  # a moved row without a symbol
+            ("K", "Q", "J"),  # a fixed row with one
+            ("K", "K", None),  # two rows share a symbol
+            ("K", 7, None),  # not a string
+        ],
+    )
+    def test_rejects_inconsistent_rows(self, symbol_by_row):
+        with pytest.raises(ValueError):
+            LazyBij(tuple("abc"), Perm.from_cycles([(0, 1)], 3), symbol_by_row)
 
     def test_eval_rejects_nonpositive_column(self):
         lazy = ordering_gadget("a", "b", "c")

@@ -80,6 +80,11 @@ def test_stabilizer_matches_oracle(case):
     assert got == want
     levels, _ = _symmetry_chain(f, group, Budget())
     assert prod(len(reps) for reps in levels) == len(want)
+    # the search branches on A and C points only: they force every B point
+    identity = tuple(range(2 * f.n_a + f.n_c))
+    for reps in levels:
+        (base,) = [p for p, u in reps.items() if u == identity]
+        assert not f.n_a <= base < 2 * f.n_a
     assert set(got.generators) <= set(want)
     ident = [(Perm.identity(f.n_a), Perm.identity(f.n_b))]
     from_gens = [(t.alpha, t.beta) for t in got.generators] or ident
