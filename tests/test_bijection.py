@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from equidiv import FormatError, PartialMap, Perm, ProdBij, parse_bijection, serialize_bijection
+from equidiv import (
+    FormatError,
+    PartialMap,
+    Perm,
+    ProdBij,
+    parse_bijection,
+    parse_symmetries,
+    serialize_bijection,
+)
+from equidiv.cli import main
 
 from conftest import cell, from_nested, random_bij, random_perm
 
@@ -296,6 +305,32 @@ class TestFileFormat:
             "# comment\nEQUIDIV 1\n\nbij nA 1 nB 1 nC 1  # inline\nrow 0: 0:0\n"
         )
         assert parse_bijection(text).bij == ProdBij.identity(1, 1)
+
+    @pytest.mark.parametrize("reader", ["bijection", "symmetries", "regular-rep"])
+    def test_line_readers_skip_comments_and_padding(self, reader, tmp_path, capsys):
+        """Each line-based reader gives the same result when every line is
+        padded and commented, and blank and comment lines come between."""
+        if reader == "bijection":
+            text = "EQUIDIV 1\nbij nA 2 nB 2 nC 2\nlabels C: a b\nrow 0: 0:0 1:0\nrow 1: 1:1 0:1\n"
+            read = parse_bijection
+        elif reader == "symmetries":
+            text = "alpha ()\nbeta (0,1)\ngamma (a,b)\nalpha (0,1)\nbeta ()\ngamma ()\n"
+
+            def read(text):
+                return parse_symmetries(text, ("0", "1"), ("0", "1"), ("a", "b"))
+        else:
+            text = "0 1 2\n1 2 0\n2 0 1\n"
+
+            def read(text):
+                path = tmp_path / "table.txt"
+                path.write_text(text)
+                code = main(["gallery", "regular-rep", str(path)])
+                return code, capsys.readouterr().out
+
+        noisy = "# leading comment\n\n" + "".join(
+            f"  {line} \t# trailing\n   \n\t# full line\n" for line in text.splitlines()
+        )
+        assert read(noisy) == read(text)
 
     @pytest.mark.parametrize(
         "text",
