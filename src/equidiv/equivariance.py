@@ -11,28 +11,28 @@ refines a colouring of the N = 2nA + nC points that every symmetry keeps: if
 all N colours differ, the group is the identity alone and nothing is
 searched.  Else one propagation search over alpha, beta and gamma, which
 keeps the colours, gives a base and strong generating set, with one coset
-representative per point of each basic orbit.  The group is kept as the
-sorted list of its elements, each an image tuple on the N points.  The
-half-fixed witness is found by comparing slices of those tuples, and a
-certificate is written from them.  With no generators the canonical matching
-is the identity; else the matching and the soundness re-check use the
-generators alone, and the matching computes each orbit on A x B when its
-search first reaches one of its cells.  :func:`pair_orbits` is the whole
-table, for tests and tracing.  A :class:`SymTriple` is built per listed
-triple only when a caller reads the list as triples.
+representative per point of each basic orbit.  The result is a
+:class:`Symmetries` record: the group's elements, sorted, each an image tuple
+on the N points, and its generators.  Callers iterate it, which builds one
+:class:`SymTriple` per element.  The half-fixed witness is found by
+comparing slices of those tuples, and a certificate is written from them.
+With no generators the canonical matching is the identity; else the matching
+and the soundness re-check use the generators alone.  The matching computes
+each orbit on A x B when its search first reaches one of its cells, and
+returns the images of h.  :func:`pair_orbits` is the whole table, for tests
+and tracing.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import abc
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import ProdBij
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, FormatError
-from .perm import Perm, PermGroup, SymTriple, parse_cycles, write_cycles
+from .perm import Perm, PermGroup, SymTriple, format_cycles, parse_cycles, write_cycles
 
 
 class Budget:
@@ -92,45 +92,25 @@ def apply_pair(h: Perm, alpha: Perm, beta: Perm) -> Perm:
 # as a list of those tuples.
 
 
-class Symmetries(abc.Sequence):
-    """A read-only list of symmetry triples, with generators of a group that
-    holds them all.
+@dataclass(frozen=True)
+class Symmetries:
+    """Symmetry triples in order, with generators of a group that holds them all.
 
     ``points`` holds each triple as one permutation of the N points, an
-    image tuple; ``len`` is the number of triples.  A :class:`SymTriple` is
-    built only when a triple is read by index or iteration, and a slice is
-    a list of triples.  It equals a list of the same triples in the same
-    order.
+    image tuple; ``len`` is the number of triples.  Iterating builds a
+    :class:`SymTriple` per triple, in order.
     """
 
-    def __init__(
-        self, n_a: int, n_c: int, points: list[tuple[int, ...]], generators: Iterable[SymTriple]
-    ) -> None:
-        self.n_a, self.n_c = n_a, n_c
-        self.points = points
-        self.generators = tuple(generators)
+    n_a: int
+    n_c: int
+    points: list[tuple[int, ...]]
+    generators: tuple[SymTriple, ...]
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, i):
-        split = _splitter(self.n_a, self.n_c)
-        if isinstance(i, slice):
-            return list(map(split, self.points[i]))
-        return split(self.points[i])
-
-    def __iter__(self):
+    def __iter__(self) -> Iterator[SymTriple]:
         return map(_splitter(self.n_a, self.n_c), self.points)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Symmetries):
-            return (self.n_a, self.n_c, self.points) == (other.n_a, other.n_c, other.points)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n_a, self.n_c, tuple(self.points)))
 
 
 def _symmetry_chain(
@@ -314,16 +294,10 @@ def _transversal(
 
 
 def _splitter(n_a: int, n_c: int) -> Callable[[tuple[int, ...]], SymTriple]:
-    """Turns a permutation of the N points into its triple, sharing equal Perms."""
+    """Turns a permutation of the N points into its triple."""
     g0 = 2 * n_a
     local = (*range(n_a), *range(n_a), *range(n_c)).__getitem__
-    perms: dict[tuple[int, ...], Perm] = {}
-
-    def perm(images: tuple[int, ...]) -> Perm:
-        p = perms.get(images)
-        if p is None:
-            p = perms[images] = Perm._unchecked(images)
-        return p
+    perm = Perm._unchecked
 
     def split(t: tuple[int, ...]) -> SymTriple:
         return SymTriple(
@@ -362,7 +336,7 @@ def stabilizer(
             steps = [u.__getitem__ for u in reps.values()]
             elements = [tuple(map(u, h)) for u in steps for h in elements]
     elements.sort()
-    return Symmetries(f.n_a, f.n_c, elements, map(_splitter(f.n_a, f.n_c), gens))
+    return Symmetries(f.n_a, f.n_c, elements, tuple(map(_splitter(f.n_a, f.n_c), gens)))
 
 
 # -- orbits and matching ------------------------------------------------------
@@ -405,50 +379,41 @@ def pair_orbits(
 
 def _orbit_union_matching(
     moves: Sequence[tuple[Sequence[int], ...]], n_a: int, n_b: int, budget: Budget
-) -> list[Orbit] | None:
-    """Select matchable orbits whose union is a perfect matching of A x B.
+) -> list[int] | None:
+    """The images of h, whose graph is a union of matchable orbits of A x B
+    cells, or None if there is no such h.
 
     ``moves`` are the generators' (alpha, beta) image pairs.  The search
-    branches on the first uncovered row a and tries its cells (a, b) in
-    column order, computing each orbit when it first reaches it.  Earlier
-    rows are covered, so an orbit it can take has (a, b) as its least cell:
-    orbits are tried in lexicographic order, and the first solution is canonical.
+    branches on the first row a with no image yet (-1) and tries its cells
+    (a, b) in column order, computing each orbit when it first reaches it.
+    Earlier rows are covered, so an orbit it can take has (a, b) as its least
+    cell: orbits are tried in lexicographic order, and the first solution is
+    canonical.
     """
     orbit_of: dict[tuple[int, int], Orbit] = {}
-    row_free = [True] * n_a
+    images = [-1] * n_a
     col_free = [True] * n_b
-    chosen: list[Orbit] = []
 
     def backtrack() -> bool:
         try:
-            a = row_free.index(True)
+            a = images.index(-1)
         except ValueError:
             return True
         for b in range(n_b):
             if not col_free[b]:
                 continue
             o = _orbit((a, b), moves, orbit_of)
-            if o.matchable and all(row_free[r] and col_free[c] for r, c in o.cells):
+            if o.matchable and all(images[r] < 0 and col_free[c] for r, c in o.cells):
                 budget.tick()
                 for r, c in o.cells:
-                    row_free[r] = col_free[c] = False
-                chosen.append(o)
+                    images[r], col_free[c] = c, False
                 if backtrack():
                     return True
-                chosen.pop()
                 for r, c in o.cells:
-                    row_free[r] = col_free[c] = True
+                    images[r], col_free[c] = -1, True
         return False
 
-    return chosen[:] if backtrack() else None
-
-
-def _matching_to_perm(chosen: Iterable[Orbit], n_a: int) -> Perm:
-    images = [-1] * n_a
-    for o in chosen:
-        for a, b in o.cells:
-            images[a] = b
-    return Perm(tuple(images))
+    return images if backtrack() else None
 
 
 def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
@@ -470,10 +435,10 @@ def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
         budget.tick(n_a)
         return Certificate("exists", Perm.identity(n_a), syms, "matching-found")
     moves = [(t.alpha.images, t.beta.images) for t in gens]
-    chosen = _orbit_union_matching(moves, f.n_a, f.n_b, budget)
-    if chosen is None:
+    images = _orbit_union_matching(moves, f.n_a, f.n_b, budget)
+    if images is None:
         return Certificate("not-exists", None, syms, "orbit-exhaustion")
-    h = _matching_to_perm(chosen, f.n_a)
+    h = Perm(tuple(images))
     if any(apply_pair(h, t.alpha, t.beta) != h for t in gens):  # soundness re-check
         raise AssertionError("solver produced a non-equivariant quotient (bug)")
     return Certificate("exists", h, syms, "matching-found")
@@ -500,7 +465,7 @@ def nonexistence_from_symmetries(
         if not is_symmetry(f, t):
             raise ValueError("supplied triple is not a symmetry of f")
     # the triples in the given order, as their own generators
-    syms = Symmetries(f.n_a, f.n_c, [_join(t, f.n_a) for t in symmetries], symmetries)
+    syms = Symmetries(f.n_a, f.n_c, [_join(t, f.n_a) for t in symmetries], tuple(symmetries))
     cert = _decide(f, syms, budget or Budget())
     return None if cert.verdict == "exists" else cert
 
@@ -585,10 +550,11 @@ def render_certificate(
         lines.append("quotient: " + " ".join(toks))
     else:
         lines.append(f"reason: {cert.reason}")
-        if cert.witness is not None:  # its three symmetry lines, on one line
-            n_a, n_c = cert.verified_against.n_a, cert.verified_against.n_c
-            one = Symmetries(n_a, n_c, [_join(cert.witness, n_a)], ())
-            text = render_symmetries(one, a_labels, b_labels, c_labels)
-            lines.append("witness: " + text.rstrip("\n").replace("\n", " "))
+        w = cert.witness
+        if w is not None:  # its three symmetry lines, on one line
+            lines.append(
+                f"witness: alpha {format_cycles(w.alpha, a_labels)} "
+                f"beta {format_cycles(w.beta, b_labels)} gamma {format_cycles(w.gamma, c_labels)}"
+            )
     body = render_symmetries(cert.verified_against, a_labels, b_labels, c_labels)
     return "\n".join(lines) + "\n" + body
