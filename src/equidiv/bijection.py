@@ -35,10 +35,6 @@ class ProdBij:
         return self.n_a
 
     @classmethod
-    def identity(cls, n_a: int, n_c: int) -> "ProdBij":
-        return cls.from_flat(range(n_a * n_c), n_a, n_c)
-
-    @classmethod
     def parallel_from_rows(cls, rows: Sequence[Sequence[int]]) -> "ProdBij":
         """Build a parallel bijection from one permutation of A per c."""
         n_c = len(rows)
@@ -172,12 +168,14 @@ class BijFile:
     c_labels: tuple[str, ...] | None = None
 
 
+def content_lines(text: str) -> list[str]:
+    """The non-blank lines of a line-based text, each cut at its first '#'
+    and stripped."""
+    return [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+
 def parse_bijection(text: str) -> BijFile:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     if not lines or lines[0] != "EQUIDIV 1":
         raise FormatError("missing EQUIDIV 1 header")
     if len(lines) < 2:

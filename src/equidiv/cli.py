@@ -11,7 +11,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .bijection import BijFile, parse_bijection, serialize_bijection
+from .bijection import BijFile, content_lines, parse_bijection, serialize_bijection
 from .division import fp_divide, parallelize
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, EquidivError, FormatError
 from .perm import PermGroup, parse_cycles
@@ -35,17 +35,17 @@ def _c_labels(bf: BijFile) -> tuple[str, ...]:
     return bf.c_labels or tuple(str(i) for i in range(bf.bij.n_c))
 
 
-def _resolve_group(spec: str, c_labels: tuple[str, ...]) -> tuple[PermGroup, str]:
+def _resolve_group(spec: str, c_labels: tuple[str, ...]) -> PermGroup:
     n = len(c_labels)
     if spec == "full":
-        return PermGroup.symmetric(n), "full"
+        return PermGroup.symmetric(n)
     if spec == "trivial":
-        return PermGroup.trivial(n), "trivial"
+        return PermGroup.trivial(n)
     if spec.startswith("gens:"):
         gens = [parse_cycles(tok, c_labels) for tok in spec[len("gens:"):].split()]
         if not gens:
             raise FormatError("gens: needs at least one cycle product")
-        return PermGroup.generated(gens, n), spec
+        return PermGroup.generated(gens, n)
     raise FormatError(f"unknown group spec {spec!r} (use full, trivial, or gens:...)")
 
 
@@ -87,7 +87,7 @@ def _cmd_stab(args) -> int:
     from .equivariance import Budget, render_symmetries, stabilizer
 
     bf = _load(args.infile)
-    group, _ = _resolve_group(args.group, _c_labels(bf))
+    group = _resolve_group(args.group, _c_labels(bf))
     triples = stabilizer(bf.bij, group, Budget(args.budget))
     sys.stdout.write(
         render_symmetries(triples, bf.a_labels, bf.b_labels, _c_labels(bf))
@@ -119,7 +119,7 @@ def _cmd_quotient(args) -> int:
             sys.stdout.write("undecided: symmetry subset admits a matching\n")
             return 0
     else:
-        group, _ = _resolve_group(args.group, c_labels)
+        group = _resolve_group(args.group, c_labels)
         cert = equivariant_quotient(bf.bij, group, budget)
     text = render_certificate(cert, bf.a_labels, bf.b_labels, bf.c_labels)
     if args.certificate:
@@ -146,12 +146,8 @@ def _cmd_gallery(args) -> int:
         f = regular_rep(CayleyTable.klein())
         sys.stdout.write(serialize_bijection(f, None, None, ("a", "b", "c", "d")))
     elif kind == "regular-rep":
-        rows = []
-        for line in Path(args.arg).read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append(tuple(int(t) for t in line.split()))
-        f = regular_rep(CayleyTable(tuple(rows)))
+        lines = content_lines(Path(args.arg).read_text())
+        f = regular_rep(CayleyTable(tuple(tuple(map(int, line.split())) for line in lines)))
         sys.stdout.write(serialize_bijection(f))
     elif kind == "checkered":
         # label universe: letters for the support of sigma, declared by degree
@@ -176,8 +172,6 @@ def _cmd_gallery(args) -> int:
         labels = tuple(sorted(order))
         f = shift_table(order, labels)
         sys.stdout.write(render_parallel_table(f, ("0", "1", "2"), labels))
-    else:  # pragma: no cover - argparse restricts choices
-        raise FormatError(f"unknown gallery kind {kind!r}")
     return 0
 
 
@@ -186,7 +180,7 @@ def _cmd_probe(args) -> int:
     from .search import probe_cancelling
 
     c_labels = _default_labels(args.n_c)
-    group, name = _resolve_group(args.group, c_labels)
+    group = _resolve_group(args.group, c_labels)
     report = probe_cancelling(
         args.n_a,
         args.n_c,
@@ -195,7 +189,7 @@ def _cmd_probe(args) -> int:
         sample=args.sample,
         seed=args.seed,
         jobs=args.jobs,
-        group_name=name,
+        group_name=args.group,
         node_limit=args.budget,
     )
     sys.stdout.write(report.render())

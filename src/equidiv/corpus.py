@@ -183,15 +183,18 @@ def check_lazy_tables() -> None:
         assert not lazy_check_symmetry(lazy, SymbolPerm(tuple((s, s) for s in lazy.symbols)), gamma)
 
 
+#: The groups whose regular representations the forcing and translation checks use.
+SMALL_GROUPS = {
+    "Z2": CayleyTable.cyclic(2),
+    "Z3": CayleyTable.cyclic(3),
+    "Z4": CayleyTable.cyclic(4),
+    "Klein": CayleyTable.klein(),
+    "Z5": CayleyTable.cyclic(5),
+}
+
+
 def check_regular_rep_forcing() -> None:
-    groups = {
-        "Z2": CayleyTable.cyclic(2),
-        "Z3": CayleyTable.cyclic(3),
-        "Z4": CayleyTable.cyclic(4),
-        "Klein": CayleyTable.klein(),
-        "Z5": CayleyTable.cyclic(5),
-    }
-    for name, table in groups.items():
+    for name, table in SMALL_GROUPS.items():
         f = regular_rep(table)
         quotients = all_equivariant_quotients(f, PermGroup.trivial(table.n))
         rows = {f.row(c) for c in range(table.n)}
@@ -199,13 +202,7 @@ def check_regular_rep_forcing() -> None:
 
 
 def check_right_translation() -> None:
-    for table in (
-        CayleyTable.cyclic(2),
-        CayleyTable.cyclic(3),
-        CayleyTable.cyclic(4),
-        CayleyTable.klein(),
-        CayleyTable.cyclic(5),
-    ):
+    for table in SMALL_GROUPS.values():
         f = regular_rep(table)
         for g in range(table.n):
             if g == table.identity:

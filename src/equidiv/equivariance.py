@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bijection import ProdBij
+from .bijection import ProdBij, content_lines
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, FormatError
 from .perm import Perm, PermGroup, SymTriple, format_cycles, parse_cycles, write_cycles
 
@@ -517,10 +517,7 @@ def parse_symmetries(
 ) -> list[SymTriple]:
     parts: dict[str, list[Perm]] = {"alpha": [], "beta": [], "gamma": []}
     labels = {"alpha": a_labels, "beta": b_labels, "gamma": c_labels}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         kind, _, rest = line.partition(" ")
         if kind not in parts:
             raise FormatError(f"unrecognized symmetry line: {line!r}")

@@ -79,9 +79,7 @@ class CheckeredProduct:
     c_labels: tuple[str, ...]
 
 
-def checkered_product(
-    sigma: Perm, c_labels: Sequence[str] | None = None
-) -> CheckeredProduct:
+def checkered_product(sigma: Perm, c_labels: Sequence[str]) -> CheckeredProduct:
     """Parity-split product of per-cycle shift blocks, for fixed-point-free sigma.
 
     Each cycle contributes a block of barred and unbarred coordinates and the
@@ -97,8 +95,6 @@ def checkered_product(
         raise ValueError("sigma must have no fixed points")
     if not cycles:
         raise ValueError("sigma must move at least one point")
-    if c_labels is None:
-        c_labels = tuple(str(i) for i in range(sigma.degree))
     c_labels = tuple(c_labels)
     if len(c_labels) != sigma.degree:
         raise ValueError("label count must match degree")

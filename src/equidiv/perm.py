@@ -111,7 +111,7 @@ class PermGroup:
 
     degree: int
     generators: tuple[Perm, ...]
-    _elements: list[Perm] | None = field(default=None, repr=False, compare=False)
+    _elements: list[Perm] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)

@@ -13,6 +13,11 @@ def inverse(p: Perm) -> Perm:
     return Perm(tuple(preimage[y] for y in range(p.degree)))
 
 
+def identity_table(n_a: int, n_c: int) -> ProdBij:
+    """The table with f(a, c) = (a, c): flat index s goes to s."""
+    return ProdBij.from_flat(range(n_a * n_c), n_a, n_c)
+
+
 def random_bij(rng: random.Random, n_a: int, n_c: int) -> ProdBij:
     flat = rng.sample(range(n_a * n_c), n_a * n_c)
     return ProdBij.from_flat(flat, n_a, n_c)

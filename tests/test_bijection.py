@@ -15,7 +15,7 @@ from equidiv import (
 )
 from equidiv.cli import main
 
-from conftest import cell, from_nested, random_bij, random_perm
+from conftest import cell, from_nested, identity_table, random_bij, random_perm
 
 sizes = st.tuples(st.integers(1, 4), st.integers(1, 3))
 
@@ -106,7 +106,7 @@ class TestProdBij:
         assert f == from_nested(2, 2, [[[1, 1], [0, 0]], [[1, 0], [0, 1]]])
 
     def test_no_public_attribute_added(self):
-        f = ProdBij.identity(3, 2)
+        f = identity_table(3, 2)
         assert {k for k in vars(f) if not k.startswith("_")} == {"n_a", "n_c", "fwd"}
 
     def test_built_only_from_flat(self):
@@ -128,8 +128,8 @@ class TestProdBij:
         rng = random.Random(41)
         f = random_bij(rng, 5, 3)
         tables = [
-            ProdBij.identity(4, 3),
-            ProdBij.identity(0, 2),
+            identity_table(4, 3),
+            identity_table(0, 2),
             f,
             ProdBij.parallel_from_rows([rng.sample(range(5), 5) for _ in range(3)]),
             f.transform(random_perm(rng, 5), random_perm(rng, 5), random_perm(rng, 3)),
@@ -182,13 +182,13 @@ class TestProdBij:
             ProdBij.parallel_from_rows([(0, 2), (1, -1)])
 
     def test_identity(self):
-        f = ProdBij.identity(2, 2)
+        f = identity_table(2, 2)
         assert f.is_parallel()
         assert f.row(0) == (0, 1) and f.row(1) == (0, 1)
 
     def test_row_range(self):
         with pytest.raises(IndexError):
-            ProdBij.identity(2, 2).row(2)
+            identity_table(2, 2).row(2)
 
     @given(bijections())
     def test_from_flat_roundtrip(self, f):
@@ -231,7 +231,7 @@ class TestProdBij:
             assert lhs == rhs
 
     def test_transform_degree_mismatch(self):
-        f = ProdBij.identity(2, 3)
+        f = identity_table(2, 3)
         with pytest.raises(ValueError):
             f.transform(Perm.identity(3), Perm.identity(2), Perm.identity(3))
 
@@ -288,7 +288,7 @@ class TestSubtract:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            ProdBij.identity(2, 1).subtract(PartialMap(((5, 0),)))
+            identity_table(2, 1).subtract(PartialMap(((5, 0),)))
 
 
 class TestFileFormat:
@@ -304,7 +304,7 @@ class TestFileFormat:
         text = (
             "# comment\nEQUIDIV 1\n\nbij nA 1 nB 1 nC 1  # inline\nrow 0: 0:0\n"
         )
-        assert parse_bijection(text).bij == ProdBij.identity(1, 1)
+        assert parse_bijection(text).bij == identity_table(1, 1)
 
     @pytest.mark.parametrize("reader", ["bijection", "symmetries", "regular-rep"])
     def test_line_readers_skip_comments_and_padding(self, reader, tmp_path, capsys):

@@ -16,7 +16,7 @@ from equidiv import (
 )
 from equidiv.corpus import two_by_two_counterexample, two_row_nonparallel
 
-from conftest import from_nested, random_bij, random_perm
+from conftest import from_nested, identity_table, random_bij, random_perm
 
 
 def _cycle_core(fun: list[int]) -> list[int]:
@@ -83,7 +83,7 @@ def tables(draw):
     if kind == "parallel":
         rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
         return ProdBij.parallel_from_rows(rows)
-    return ProdBij.identity(n_a, n_c)
+    return identity_table(n_a, n_c)
 
 
 @st.composite
@@ -166,7 +166,7 @@ class TestAgainstReference:
 class TestFpDivide:
     def test_basepoint_out_of_range(self):
         with pytest.raises(IndexError):
-            fp_divide(ProdBij.identity(2, 2), 2)
+            fp_divide(identity_table(2, 2), 2)
 
     def test_xor_instance(self):
         f = two_by_two_counterexample()
@@ -232,7 +232,7 @@ class TestFpDivide:
 class TestParallelize:
     def test_rejects_empty_c(self):
         with pytest.raises(ValueError):
-            parallelize(ProdBij.identity(3, 0))
+            parallelize(identity_table(3, 0))
 
     def test_result_is_parallel(self):
         rng = random.Random(21)

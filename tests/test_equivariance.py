@@ -35,7 +35,7 @@ from equidiv import (
 from equidiv.corpus import two_by_two_counterexample
 from equidiv.equivariance import Orbit, Symmetries, _orbit_union_matching
 
-from conftest import inverse, random_bij
+from conftest import identity_table, inverse, random_bij
 
 
 def halffixed_witness(symmetries):
@@ -102,15 +102,15 @@ class TestStabilizer:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            stabilizer(ProdBij.identity(2, 2), PermGroup.symmetric(3))
+            stabilizer(identity_table(2, 2), PermGroup.symmetric(3))
 
     def test_empty_c_rejected(self):
         # with C empty no cell ties beta to alpha, so nothing forces beta
         with pytest.raises(ValueError, match="C must be non-empty"):
-            stabilizer(ProdBij.identity(2, 0), PermGroup.symmetric(0))
+            stabilizer(identity_table(2, 0), PermGroup.symmetric(0))
 
     def test_budget(self):
-        f = ProdBij.identity(4, 2)  # huge stabilizer: every (alpha, alpha)
+        f = identity_table(4, 2)  # huge stabilizer: every (alpha, alpha)
         with pytest.raises(BudgetExceeded):
             stabilizer(f, PermGroup.symmetric(2), Budget(3))
 
@@ -233,7 +233,7 @@ def matching_cases(draw):
         rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
         f = ProdBij.parallel_from_rows(rows)
     else:
-        f = ProdBij.identity(n_a, n_c)
+        f = identity_table(n_a, n_c)
     group_kind = draw(st.sampled_from(["full", "trivial", "gens"]))
     if group_kind == "full":
         return f, PermGroup.symmetric(n_c)
@@ -359,14 +359,14 @@ class TestQuotientDecision:
             equivariant_quotient(f, PermGroup.trivial(3))
 
     def test_budget_propagates(self):
-        f = ProdBij.identity(5, 2)
+        f = identity_table(5, 2)
         with pytest.raises(BudgetExceeded):
             equivariant_quotient(f, PermGroup.symmetric(2), Budget(5))
 
 
 class TestSubsetMode:
     def test_rejects_non_symmetry(self):
-        f = ProdBij.identity(2, 2)
+        f = identity_table(2, 2)
         bogus = SymTriple(Perm((1, 0)), Perm.identity(2), Perm.identity(2))
         with pytest.raises(ValueError):
             nonexistence_from_symmetries(f, [bogus])
@@ -413,7 +413,7 @@ class TestTextFormats:
             parse_symmetries("delta ()\n", ("0",), ("0",), ("a",))
 
     def test_certificate_exists_render(self):
-        f = ProdBij.identity(2, 1)
+        f = identity_table(2, 1)
         cert = equivariant_quotient(f, PermGroup.trivial(1))
         text = render_certificate(cert, ("x", "y"), ("u", "v"), ("c",))
         assert text.splitlines()[0] == "verdict exists"
@@ -515,8 +515,8 @@ class TestSymmetries:
         (two_by_two_counterexample(), PermGroup.symmetric(2)),
         (regular_rep(CayleyTable.cyclic(4)), PermGroup.symmetric(4)),
         (regular_rep(CayleyTable.cyclic(3)), PermGroup.trivial(3)),
-        (ProdBij.identity(3, 2), PermGroup.symmetric(2)),
-        (ProdBij.identity(0, 2), PermGroup.symmetric(2)),
+        (identity_table(3, 2), PermGroup.symmetric(2)),
+        (identity_table(0, 2), PermGroup.symmetric(2)),
         (
             checkered_product(parse_cycles("(a,b)(c,d)", "abcd"), tuple("abcd")).bij,
             PermGroup.symmetric(4),

@@ -150,6 +150,11 @@ class TestPermGroup:
         with pytest.raises(ValueError):
             PermGroup(3, (Perm((0, 1)),))
 
+    def test_element_cache_is_not_a_parameter(self):
+        # elements() fills its own cache: a caller cannot hand it a list
+        with pytest.raises(TypeError):
+            PermGroup(2, (), [Perm((1, 0))])
+
     def test_symmetric_generators_by_definition(self):
         assert PermGroup.symmetric(0).generators == PermGroup.symmetric(1).generators == ()
         assert PermGroup.symmetric(2).generators == (Perm.from_cycles([(0, 1)], 2),)

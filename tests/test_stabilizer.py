@@ -29,7 +29,7 @@ from equidiv import (
 )
 from equidiv.equivariance import _refine, _symmetry_chain
 
-from conftest import random_bij
+from conftest import identity_table, random_bij
 
 
 def oracle(f: ProdBij, group: PermGroup) -> list[SymTriple]:
@@ -60,7 +60,7 @@ def instances(draw):
         rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
         f = ProdBij.parallel_from_rows(rows)
     else:
-        f = ProdBij.identity(n_a, n_c)
+        f = identity_table(n_a, n_c)
     group_kind = draw(st.sampled_from(["full", "trivial", "gens"]))
     if group_kind == "full":
         group = PermGroup.symmetric(n_c)
