@@ -529,7 +529,8 @@ class TestSymmetries:
         want = [split_by_definition(t, f.n_a) for t in syms.points]
         assert want == sorted(want, key=lambda t: (t.alpha.images, t.beta.images, t.gamma.images))
         assert len(syms) == len(want)
-        assert list(syms) == want and list(syms) == want  # each pass iterates afresh
+        assert list(syms) == want
+        assert list(syms) == want  # a second pass starts afresh
         assert all(t in syms for t in want)
         with pytest.raises(TypeError):  # a record to iterate, not a list to index
             syms[0]
