@@ -12,10 +12,10 @@ all N colours differ, the group is the identity alone and nothing is
 searched.  Else one propagation search over alpha, beta and gamma, which
 keeps the colours, gives a base and strong generating set, with one coset
 representative per point of each basic orbit.  The result is a
-:class:`Symmetries` record: the group's elements, sorted, each an image tuple
-on the N points, and its generators.  Callers iterate it, which builds one
+:class:`Symmetries` record: the group's elements, sorted, each a permutation
+of the N points, and its generators.  Callers iterate it, which builds one
 :class:`SymTriple` per element.  The half-fixed witness is found by
-comparing slices of those tuples, and a certificate is written from them.
+comparing slices of those elements, and a certificate is written from them.
 With no generators the canonical matching is the identity; else the matching
 and the soundness re-check use the generators alone.  The matching computes
 each orbit on A x B when its search first reaches one of its cells, and
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import eq, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import ProdBij, content_lines
@@ -88,22 +89,22 @@ def apply_pair(h: Perm, alpha: Perm, beta: Perm) -> Perm:
 #
 # A triple acts on the N = 2nA + nC points A ⊔ B ⊔ C: alpha on 0..nA-1, beta
 # on nA..2nA-1 and gamma on 2nA..N-1.  A symmetry is therefore one
-# permutation of N points, held as an image tuple, and the stabilizer is kept
-# as a list of those tuples.
+# permutation of N points, and the stabilizer is kept as a list of them, in
+# the form :func:`_element_form` gives.
 
 
 @dataclass(frozen=True)
 class Symmetries:
     """Symmetry triples in order, with generators of a group that holds them all.
 
-    ``points`` holds each triple as one permutation of the N points, an
-    image tuple; ``len`` is the number of triples.  Iterating builds a
-    :class:`SymTriple` per triple, in order.
+    ``points`` holds each triple as one permutation of the N points, in the
+    form :func:`_element_form` gives; ``len`` is the number of triples.
+    Iterating builds a :class:`SymTriple` per triple, in order.
     """
 
     n_a: int
     n_c: int
-    points: list[tuple[int, ...]]
+    points: list[Sequence[int]]
     generators: tuple[SymTriple, ...]
 
     def __len__(self) -> int:
@@ -293,25 +294,42 @@ def _transversal(
     return reps
 
 
-def _splitter(n_a: int, n_c: int) -> Callable[[tuple[int, ...]], SymTriple]:
+def _element_form(n: int) -> tuple[Callable, Callable]:
+    """How an element on n points is held: ``(pack, then)``.
+
+    ``pack`` turns an image sequence into an element; ``then(u, hs)`` yields
+    h then u for each element h.  Up to 256 points an element is bytes, so
+    composing (``bytes.translate`` with u as a 256-byte table), slicing,
+    comparing and sorting run in C; equal-length bytes sort as tuples do.
+    Above, bytes cannot hold a point, and an element is a tuple.
+    """
+    if n > 256:
+        return tuple, lambda u, hs: (tuple(map(u.__getitem__, h)) for h in hs)
+
+    def then(u: Sequence[int], hs: Iterable[bytes]) -> Iterator[bytes]:
+        return map(bytes.translate, hs, itertools.repeat(bytes(u) + bytes(range(len(u), 256))))
+
+    return bytes, then
+
+
+def _splitter(n_a: int, n_c: int) -> Callable[[Sequence[int]], SymTriple]:
     """Turns a permutation of the N points into its triple."""
     g0 = 2 * n_a
     local = (*range(n_a), *range(n_a), *range(n_c)).__getitem__
     perm = Perm._unchecked
 
-    def split(t: tuple[int, ...]) -> SymTriple:
-        return SymTriple(
-            perm(t[:n_a]), perm(tuple(map(local, t[n_a:g0]))), perm(tuple(map(local, t[g0:])))
-        )
+    def split(t: Sequence[int]) -> SymTriple:
+        alpha = perm(tuple(t[:n_a]))  # a Perm holds a tuple, even when t is bytes
+        return SymTriple(alpha, perm(tuple(map(local, t[n_a:g0]))), perm(tuple(map(local, t[g0:]))))
 
     return split
 
 
-def _join(t: SymTriple, n_a: int) -> tuple[int, ...]:
-    """The triple as one permutation of the N points."""
-    g0 = 2 * n_a
+def _join(t: SymTriple) -> Sequence[int]:
+    """The triple as one permutation of the N points, an element."""
+    n_a, g0 = t.alpha.degree, 2 * t.alpha.degree
     beta, gamma = (b + n_a for b in t.beta.images), (c + g0 for c in t.gamma.images)
-    return (*t.alpha.images, *beta, *gamma)
+    return _element_form(g0 + t.gamma.degree)[0]((*t.alpha.images, *beta, *gamma))
 
 
 def stabilizer(
@@ -330,11 +348,13 @@ def stabilizer(
     budget = budget or Budget()
     levels, gens = _symmetry_chain(f, group, budget)
     budget.tick(prod(len(reps) for reps in levels))
-    elements = [tuple(range(2 * f.n_a + f.n_c))]
+    n = 2 * f.n_a + f.n_c
+    pack, then = _element_form(n)
+    elements = [pack(range(n))]
     for reps in levels:
         if len(reps) > 1:  # a level that holds only the identity changes nothing
-            steps = [u.__getitem__ for u in reps.values()]
-            elements = [tuple(map(u, h)) for u in steps for h in elements]
+            steps = (then(u, elements) for u in reps.values())
+            elements = list(itertools.chain.from_iterable(steps))
     elements.sort()
     return Symmetries(f.n_a, f.n_c, elements, tuple(map(_splitter(f.n_a, f.n_c), gens)))
 
@@ -425,12 +445,13 @@ def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
     re-check use the generators alone, since an h fixed by each of them is
     fixed by the group they generate, which holds every listed triple.
     """
-    n_a, gens = f.n_a, syms.generators
-    id_a, id_b = tuple(range(n_a)), tuple(range(n_a, 2 * n_a))
-    for t in syms.points:
-        if (t[:n_a] == id_a) != (t[n_a:2 * n_a] == id_b):
-            witness = _splitter(n_a, f.n_c)(t)
-            return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
+    n_a, gens, points = f.n_a, syms.generators, syms.points
+    ident = _element_form(2 * n_a + f.n_c)[0](range(2 * n_a))  # alpha and beta, in element form
+    fixes_a = map(eq, map(itemgetter(slice(0, n_a)), points), itertools.repeat(ident[:n_a]))
+    fixes_b = map(eq, map(itemgetter(slice(n_a, 2 * n_a)), points), itertools.repeat(ident[n_a:]))
+    if (t := next(itertools.compress(points, map(ne, fixes_a, fixes_b)), None)) is not None:
+        witness = _splitter(n_a, f.n_c)(t)
+        return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
     if not gens:  # every orbit is one cell, so the canonical matching is the identity
         budget.tick(n_a)
         return Certificate("exists", Perm.identity(n_a), syms, "matching-found")
@@ -465,7 +486,7 @@ def nonexistence_from_symmetries(
         if not is_symmetry(f, t):
             raise ValueError("supplied triple is not a symmetry of f")
     # the triples in the given order, as their own generators
-    syms = Symmetries(f.n_a, f.n_c, [_join(t, f.n_a) for t in symmetries], tuple(symmetries))
+    syms = Symmetries(f.n_a, f.n_c, [_join(t) for t in symmetries], tuple(symmetries))
     cert = _decide(f, syms, budget or Budget())
     return None if cert.verdict == "exists" else cert
 
@@ -473,19 +494,18 @@ def nonexistence_from_symmetries(
 # -- text formats -------------------------------------------------------------
 
 
-def _column(rows: Iterable[tuple[int, ...]], points: range, labels: Sequence[str]) -> list[str]:
-    """Cycle notation of each N-point tuple on one part; each distinct image
-    slice is written once."""
-    lo, hi = points.start, points.stop
-    memo: dict[tuple[int, ...], str] = {}
-    out = []
-    for t in rows:
-        key = t[lo:hi]
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = write_cycles(t, points, labels)
-        out.append(text)
-    return out
+def _column(rows: Iterable, lo: int, labels: tuple, then: Callable, memos: dict) -> list[str]:
+    """Cycle notation of each element on the part at lo, lo + 1, ... that
+    ``labels`` name.  Each slice is cut and moved to local points in C, and
+    each distinct local slice is written once, into the memo in ``memos`` for
+    these labels: by default A and B share one.
+    """
+    memo = memos.setdefault(labels, {})
+    local = (0,) * lo + tuple(range(len(labels)))
+    keys = list(then(local, map(itemgetter(slice(lo, lo + len(labels))), rows)))
+    for images in set(keys).difference(memo):
+        memo[images] = write_cycles(images, labels)
+    return list(map(memo.__getitem__, keys))
 
 
 def render_symmetries(
@@ -499,13 +519,14 @@ def render_symmetries(
     Points missing a label are written as their index within A, B or C.
     """
     n_a, n_c = syms.n_a, syms.n_c
-    labels = [
-        *(a_labels or map(str, range(n_a))),
-        *(b_labels or map(str, range(n_a))),
-        *(c_labels or map(str, range(n_c))),
-    ]
-    parts = (range(n_a), range(n_a, 2 * n_a), range(2 * n_a, 2 * n_a + n_c))
-    columns = [_column(syms.points, points, labels) for points in parts]
+    then = _element_form(2 * n_a + n_c)[1]
+    parts = (
+        (0, tuple(a_labels or map(str, range(n_a)))),
+        (n_a, tuple(b_labels or map(str, range(n_a)))),
+        (2 * n_a, tuple(c_labels or map(str, range(n_c)))),
+    )
+    memos: dict[tuple[str, ...], dict] = {}
+    columns = [_column(syms.points, lo, labs, then, memos) for lo, labs in parts]
     return "".join(map("alpha %s\nbeta %s\ngamma %s\n".__mod__, zip(*columns)))
 
 

@@ -217,20 +217,19 @@ def format_cycles(p: Perm, labels: Sequence[str] | None = None) -> str:
     """Render a permutation in cycle notation; identity renders as "()"."""
     if labels is None:
         labels = [str(i) for i in range(p.degree)]
-    return write_cycles(p.images, range(p.degree), labels)
+    return write_cycles(p.images, labels)
 
 
-def write_cycles(images: Sequence[int], points: range, labels: Sequence[str]) -> str:
-    """Cycle notation for ``images`` restricted to ``points``, which it maps
-    among themselves; a point x is written as ``labels[x]``.
+def write_cycles(images: Sequence[int], labels: Sequence[str]) -> str:
+    """Cycle notation for the permutation ``images`` of 0..len(images)-1,
+    which may be a tuple or bytes; a point x is written as ``labels[x]``.
 
     Cycles start at their smallest point and come in order of it, as in
     :meth:`Perm.cycles`; fixed points are left out, and "()" stands for none.
     """
     seen = bytearray(len(images))
     out = []
-    for p in points:
-        x = images[p]
+    for p, x in enumerate(images):
         if x == p or seen[p]:
             continue
         cyc = [labels[p]]

@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+from equidiv import ProdBij, serialize_bijection
 from equidiv.cli import build_parser, main
 
 
@@ -155,7 +159,26 @@ class TestStab:
         assert out.splitlines() == [x for g in gammas for x in ("alpha ()", "beta ()", f"gamma {g}")]
 
 
+#: Exit code and sha256 prefix of the whole `quotient --group full` output, on
+#: a 1,296-triple checkered product and a 40,320-triple 2.15 MB certificate.
+QUOTIENT_DIGESTS = {
+    "checkered (a,b,c)(d,e,f)": (1, "ffe23f50b228689b"),
+    "random 8x1, seed 1": (0, "31910fdb3aa52361"),
+}
+
+
 class TestQuotient:
+    @pytest.mark.parametrize("table", QUOTIENT_DIGESTS)
+    def test_output_digest(self, capsys, tmp_path, table):
+        if table.startswith("checkered"):
+            text = run(capsys, "gallery", "checkered", "(a,b,c)(d,e,f)")[1]
+        else:
+            text = serialize_bijection(ProdBij.from_flat(random.Random(1).sample(range(8), 8), 8, 1))
+        path = tmp_path / "f.eqd"
+        path.write_text(text)
+        code, out, _ = run(capsys, "quotient", "--in", str(path), "--group", "full")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == QUOTIENT_DIGESTS[table]
+
     def test_not_exists_full(self, capsys, xor_file):
         code, out, _ = run(capsys, "quotient", "--in", xor_file, "--group", "full")
         assert code == 1

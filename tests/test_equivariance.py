@@ -30,8 +30,10 @@ from equidiv import (
     regular_rep,
     render_certificate,
     render_symmetries,
+    serialize_bijection,
     stabilizer,
 )
+from equidiv.cli import main
 from equidiv.corpus import two_by_two_counterexample
 from equidiv.equivariance import Orbit, Symmetries, _orbit_union_matching
 
@@ -446,7 +448,8 @@ def reference_listing(triples, a, b, c) -> str:
 @st.composite
 def decision_cases(draw):
     """(f, group, labels) at nA, nC <= 4: random and parallel tables under
-    full, trivial and random gens: subgroups, with or without labels."""
+    full, trivial and random gens: subgroups, with distinct labels per part,
+    one label tuple shared by A and B (and by C when nC == nA), or none."""
     n_a = draw(st.integers(0, 4))
     n_c = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -462,11 +465,14 @@ def decision_cases(draw):
     else:
         perm_c = st.permutations(range(n_c)).map(lambda xs: Perm(tuple(xs)))
         group = PermGroup.generated(draw(st.lists(perm_c, min_size=1, max_size=2)), n_c)
-    labels = (
-        (tuple("pqrs"[:n_a]), tuple("wxyz"[:n_a]), tuple("abcd"[:n_c]))
-        if draw(st.booleans())
-        else (None, None, None)
-    )
+    kind = draw(st.sampled_from(["distinct", "shared", "none"]))
+    if kind == "distinct":
+        labels = (tuple("pqrs"[:n_a]), tuple("wxyz"[:n_a]), tuple("abcd"[:n_c]))
+    elif kind == "shared":
+        shared = tuple("pqrs"[:n_a])
+        labels = (shared, shared, shared if n_c == n_a else tuple("abcd"[:n_c]))
+    else:
+        labels = (None, None, None)
     return f, group, labels
 
 
@@ -499,6 +505,35 @@ class TestCertificateDifferential:
             head = ["verdict not-exists", "reason: orbit-exhaustion"]
         assert (cert.verdict == "exists") == quotient_exists_bruteforce(f, group)
         assert render_certificate(cert, a, b, c) == "".join(x + "\n" for x in head) + listing
+
+
+class TestPastByteRange:
+    """Above 256 points an element's images no longer fit in bytes."""
+
+    def test_identity_table_at_257_points(self, capsys, tmp_path):
+        # N = 2 * 3 + 251; under trivial the symmetries are the six (alpha, alpha, id)
+        f = identity_table(3, 251)
+        table, stab = tmp_path / "wide.eqd", tmp_path / "stab.txt"
+        table.write_text(serialize_bijection(f))
+        ident_c = Perm.identity(251)
+        want = [
+            SymTriple(Perm(a), Perm(b), ident_c)
+            for a in itertools.permutations(range(3))
+            for b in itertools.permutations(range(3))
+            if is_symmetry(f, SymTriple(Perm(a), Perm(b), ident_c))
+        ]
+        listing = reference_listing(want, None, None, None)
+        assert len(want) == 6 and halffixed_witness(want) is None
+
+        assert main(["stab", "--in", str(table), "--group", "trivial"]) == 0
+        out = capsys.readouterr().out
+        assert out == listing
+        stab.write_text(out)
+        # h commutes with all of S_3, so the identity is the only quotient
+        assert main(["quotient", "--in", str(table), "--group", "trivial"]) == 0
+        assert capsys.readouterr().out == "verdict exists\nquotient: 0 1 2\n" + listing
+        assert main(["quotient", "--in", str(table), "--symmetries", str(stab)]) == 0
+        assert capsys.readouterr().out == "undecided: symmetry subset admits a matching\n"
 
 
 def split_by_definition(t, n_a):
