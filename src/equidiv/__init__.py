@@ -22,8 +22,7 @@ _EXPORTS = {
     "lazy": "LazyBij SymbolPerm build_counterexample lazy_apply_symbols "
     "lazy_check_symmetry lazy_equal ordering_gadget render_lazy",
     "perm": "Perm PermGroup SymTriple format_cycles parse_cycles",
-    "search": "ProbeReport extract_basepoint fp_basepoint_divider gcd_filter "
-    "probe_cancelling",
+    "search": "ProbeReport extract_basepoint gcd_filter probe_cancelling",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -206,6 +206,8 @@ def parse_bijection(text: str) -> BijFile:
             names = tuple(toks.split())
             if len(set(names)) != len(names):
                 raise FormatError(f"repeated label in: {line!r}")
+            if any(ch in "()," for name in names for ch in name):
+                raise FormatError(f"label with '(', ')' or ',' in: {line!r}")
             labels[side] = names
         elif line.startswith("row "):
             head, _, body = line.partition(":")

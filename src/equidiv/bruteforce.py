@@ -9,15 +9,13 @@ from __future__ import annotations
 import itertools
 
 from .bijection import ProdBij
-from .equivariance import Budget, apply_pair, stabilizer
+from .equivariance import apply_pair, stabilizer
 from .perm import Perm, PermGroup
 
 
-def all_equivariant_quotients(
-    f: ProdBij, group: PermGroup, budget: Budget | None = None
-) -> list[Perm]:
+def all_equivariant_quotients(f: ProdBij, group: PermGroup) -> list[Perm]:
     """Every bijection h : A -> B fixed by the full stabilizer, in lex order."""
-    syms = stabilizer(f, group, budget)
+    syms = stabilizer(f, group)
     pairs = {(t.alpha, t.beta) for t in syms}
     out = []
     for images in itertools.permutations(range(f.n_a)):
@@ -27,7 +25,5 @@ def all_equivariant_quotients(
     return out
 
 
-def quotient_exists_bruteforce(
-    f: ProdBij, group: PermGroup, budget: Budget | None = None
-) -> bool:
-    return bool(all_equivariant_quotients(f, group, budget))
+def quotient_exists_bruteforce(f: ProdBij, group: PermGroup) -> bool:
+    return bool(all_equivariant_quotients(f, group))

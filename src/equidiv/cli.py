@@ -14,7 +14,7 @@ from pathlib import Path
 from .bijection import BijFile, content_lines, parse_bijection, serialize_bijection
 from .division import fp_divide, parallelize
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, EquidivError, FormatError
-from .perm import PermGroup, parse_cycles
+from .perm import PermGroup, parse_cycles, point_labels
 
 # Each command imports the rest of the package when it runs, so that a
 # process loads only the modules its command needs.
@@ -31,8 +31,10 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-def _c_labels(bf: BijFile) -> tuple[str, ...]:
-    return bf.c_labels or tuple(str(i) for i in range(bf.bij.n_c))
+def _labels(bf: BijFile) -> tuple[tuple[str, ...], ...]:
+    """How the file's A, B and C points are written."""
+    n_a, n_c = bf.bij.n_a, bf.bij.n_c
+    return tuple(map(point_labels, (bf.a_labels, bf.b_labels, bf.c_labels), (n_a, n_a, n_c)))
 
 
 def _resolve_group(spec: str, c_labels: tuple[str, ...]) -> PermGroup:
@@ -45,7 +47,7 @@ def _resolve_group(spec: str, c_labels: tuple[str, ...]) -> PermGroup:
         gens = [parse_cycles(tok, c_labels) for tok in spec[len("gens:"):].split()]
         if not gens:
             raise FormatError("gens: needs at least one cycle product")
-        return PermGroup.generated(gens, n)
+        return PermGroup(n, gens)
     raise FormatError(f"unknown group spec {spec!r} (use full, trivial, or gens:...)")
 
 
@@ -71,7 +73,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_divide(args) -> int:
     bf = _load(args.infile)
-    h = fp_divide(bf.bij, _resolve_base(args.base, _c_labels(bf)))
+    h = fp_divide(bf.bij, _resolve_base(args.base, _labels(bf)[2]))
     _emit(" ".join(str(b) for b in h.images) + "\n", args.out)
     return 0
 
@@ -87,11 +89,9 @@ def _cmd_stab(args) -> int:
     from .equivariance import Budget, render_symmetries, stabilizer
 
     bf = _load(args.infile)
-    group = _resolve_group(args.group, _c_labels(bf))
-    triples = stabilizer(bf.bij, group, Budget(args.budget))
-    sys.stdout.write(
-        render_symmetries(triples, bf.a_labels, bf.b_labels, _c_labels(bf))
-    )
+    labels = _labels(bf)
+    group = _resolve_group(args.group, labels[2])
+    sys.stdout.write(render_symmetries(stabilizer(bf.bij, group, Budget(args.budget)), *labels))
     return 0
 
 
@@ -105,23 +105,21 @@ def _cmd_quotient(args) -> int:
     )
 
     bf = _load(args.infile)
-    c_labels = _c_labels(bf)
+    labels = _labels(bf)
+    group = _resolve_group(args.group, labels[2])
     budget = Budget(args.budget)
     if args.symmetries:
-        n = bf.bij.n_a
-        a_labels = bf.a_labels or tuple(str(i) for i in range(n))
-        b_labels = bf.b_labels or tuple(str(i) for i in range(n))
-        triples = parse_symmetries(
-            Path(args.symmetries).read_text(), a_labels, b_labels, c_labels
-        )
+        triples = parse_symmetries(Path(args.symmetries).read_text(), *labels)
+        # full holds every gamma; other groups are checked element by element
+        if not group.is_symmetric() and not {t.gamma for t in triples} <= set(group.elements()):
+            raise ValueError(f"supplied triple has gamma outside the group {args.group!r}")
         cert = nonexistence_from_symmetries(bf.bij, triples, budget)
         if cert is None:
             sys.stdout.write("undecided: symmetry subset admits a matching\n")
             return 0
     else:
-        group = _resolve_group(args.group, c_labels)
         cert = equivariant_quotient(bf.bij, group, budget)
-    text = render_certificate(cert, bf.a_labels, bf.b_labels, bf.c_labels)
+    text = render_certificate(cert, *labels)
     if args.certificate:
         Path(args.certificate).write_text(text)
     sys.stdout.write(text)
@@ -138,13 +136,10 @@ def _cmd_gallery(args) -> int:
     )
 
     kind = args.kind
-    if kind == "cyclic":
-        f = regular_rep(CayleyTable.cyclic(int(args.arg)))
-        labels = _default_labels(f.n_c)
-        sys.stdout.write(serialize_bijection(f, None, None, labels))
-    elif kind == "klein":
-        f = regular_rep(CayleyTable.klein())
-        sys.stdout.write(serialize_bijection(f, None, None, ("a", "b", "c", "d")))
+    if kind in ("cyclic", "klein"):
+        table = CayleyTable.cyclic(int(args.arg)) if kind == "cyclic" else CayleyTable.klein()
+        f = regular_rep(table)
+        sys.stdout.write(serialize_bijection(f, None, None, _default_labels(f.n_c)))
     elif kind == "regular-rep":
         lines = content_lines(Path(args.arg).read_text())
         f = regular_rep(CayleyTable(tuple(tuple(map(int, line.split())) for line in lines)))

@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from operator import eq, itemgetter, ne
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import ProdBij, content_lines
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, FormatError
-from .perm import Perm, PermGroup, SymTriple, format_cycles, parse_cycles, write_cycles
+from .perm import Perm, PermGroup, SymTriple, parse_cycles, point_labels, write_cycles
 
 
 class Budget:
@@ -445,11 +445,11 @@ def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
     re-check use the generators alone, since an h fixed by each of them is
     fixed by the group they generate, which holds every listed triple.
     """
-    n_a, gens, points = f.n_a, syms.generators, syms.points
+    n_a, gens = f.n_a, syms.generators
     ident = _element_form(2 * n_a + f.n_c)[0](range(2 * n_a))  # alpha and beta, in element form
-    fixes_a = map(eq, map(itemgetter(slice(0, n_a)), points), itertools.repeat(ident[:n_a]))
-    fixes_b = map(eq, map(itemgetter(slice(n_a, 2 * n_a)), points), itertools.repeat(ident[n_a:]))
-    if (t := next(itertools.compress(points, map(ne, fixes_a, fixes_b)), None)) is not None:
+    id_a, id_b = ident[:n_a], ident[n_a:]
+    half_fixed = (t for t in syms.points if (t[:n_a] == id_a) != (t[n_a:2 * n_a] == id_b))
+    if (t := next(half_fixed, None)) is not None:
         witness = _splitter(n_a, f.n_c)(t)
         return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
     if not gens:  # every orbit is one cell, so the canonical matching is the identity
@@ -520,13 +520,11 @@ def render_symmetries(
     """
     n_a, n_c = syms.n_a, syms.n_c
     then = _element_form(2 * n_a + n_c)[1]
-    parts = (
-        (0, tuple(a_labels or map(str, range(n_a)))),
-        (n_a, tuple(b_labels or map(str, range(n_a)))),
-        (2 * n_a, tuple(c_labels or map(str, range(n_c)))),
-    )
+    labels = map(point_labels, (a_labels, b_labels, c_labels), (n_a, n_a, n_c))
     memos: dict[tuple[str, ...], dict] = {}
-    columns = [_column(syms.points, lo, labs, then, memos) for lo, labs in parts]
+    columns = [
+        _column(syms.points, lo, labs, then, memos) for lo, labs in zip((0, n_a, 2 * n_a), labels)
+    ]
     return "".join(map("alpha %s\nbeta %s\ngamma %s\n".__mod__, zip(*columns)))
 
 
@@ -557,22 +555,21 @@ def render_certificate(
     b_labels: Sequence[str] | None = None,
     c_labels: Sequence[str] | None = None,
 ) -> str:
+    """The certificate as text; points missing a label are written as their index."""
+    syms = cert.verified_against
+    labels = (a_labels, b_labels, c_labels)
+    a_labels, b_labels, c_labels = map(point_labels, labels, (syms.n_a, syms.n_a, syms.n_c))
     lines = [f"verdict {cert.verdict}"]
     if cert.verdict == "exists":
-        assert cert.quotient is not None
-        toks = (
-            [b_labels[b] for b in cert.quotient.images]
-            if b_labels is not None
-            else [str(b) for b in cert.quotient.images]
-        )
-        lines.append("quotient: " + " ".join(toks))
+        lines.append("quotient: " + " ".join(map(b_labels.__getitem__, cert.quotient.images)))
     else:
         lines.append(f"reason: {cert.reason}")
         w = cert.witness
         if w is not None:  # its three symmetry lines, on one line
             lines.append(
-                f"witness: alpha {format_cycles(w.alpha, a_labels)} "
-                f"beta {format_cycles(w.beta, b_labels)} gamma {format_cycles(w.gamma, c_labels)}"
+                f"witness: alpha {write_cycles(w.alpha.images, a_labels)} "
+                f"beta {write_cycles(w.beta.images, b_labels)} "
+                f"gamma {write_cycles(w.gamma.images, c_labels)}"
             )
-    body = render_symmetries(cert.verified_against, a_labels, b_labels, c_labels)
+    body = render_symmetries(syms, a_labels, b_labels, c_labels)
     return "\n".join(lines) + "\n" + body

@@ -127,15 +127,6 @@ class PermGroup:
     def symmetric(cls, degree: int) -> "PermGroup":
         return cls(degree, tuple(map(Perm._unchecked, _symmetric_images(degree))))
 
-    @classmethod
-    def generated(cls, generators: Iterable[Perm], degree: int | None = None) -> "PermGroup":
-        gens = tuple(generators)
-        if degree is None:
-            if not gens:
-                raise ValueError("need a degree for the trivial group")
-            degree = gens[0].degree
-        return cls(degree, gens)
-
     def is_symmetric(self) -> bool:
         """True when the generators are those of :meth:`symmetric`.
 
@@ -213,11 +204,14 @@ def parse_cycles(text: str, labels: Sequence[str]) -> Perm:
     return Perm.from_cycles(cycles, len(labels))
 
 
+def point_labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    """How points 0..n-1 are written: by ``labels``, else each by its index."""
+    return tuple(map(str, range(n))) if labels is None else tuple(labels)
+
+
 def format_cycles(p: Perm, labels: Sequence[str] | None = None) -> str:
     """Render a permutation in cycle notation; identity renders as "()"."""
-    if labels is None:
-        labels = [str(i) for i in range(p.degree)]
-    return write_cycles(p.images, labels)
+    return write_cycles(p.images, point_labels(labels, p.degree))
 
 
 def write_cycles(images: Sequence[int], labels: Sequence[str]) -> str:

@@ -175,15 +175,7 @@ def probe_cancelling(
 # -- basepoint extraction -----------------------------------------------------
 
 
-def fp_basepoint_divider(star: int) -> Callable[[ProdBij], Perm]:
-    from .division import fp_divide
-
-    return lambda f: fp_divide(f, star)
-
-
-def extract_basepoint(
-    divider: Callable[[ProdBij], Perm], c_labels: Sequence[str] = ("a", "b", "c")
-) -> str:
+def extract_basepoint(divider: Callable[[ProdBij], Perm], c_labels: Sequence[str]) -> str:
     """The element of C a division method singles out on the shift gadget.
 
     Runs the divider on all six guises of the three-row shift table; each

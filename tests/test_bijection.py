@@ -374,6 +374,16 @@ class TestFileFormat:
             parse_bijection("EQUIDIV 1\nbij nA 2 nB 2 nC 2\n" + rows)
         assert str(exc.value) == "entry out of range: (2, 0)"
 
+    @pytest.mark.parametrize("side", ["A", "B", "C"])
+    @pytest.mark.parametrize("names", ["x,y z", "() z", "x) y", "x (y"])
+    def test_rejects_labels_cycle_notation_cannot_hold(self, side, names):
+        """A label with '(', ')' or ',' could not be read back from a listing."""
+        rows = "row 0: 0:0 1:0\nrow 1: 1:1 0:1\n"
+        text = f"EQUIDIV 1\nbij nA 2 nB 2 nC 2\nlabels {side}: {names}\n{rows}"
+        with pytest.raises(FormatError) as exc:
+            parse_bijection(text)
+        assert str(exc.value) == f"label with '(', ')' or ',' in: 'labels {side}: {names}'"
+
     def test_labels_for_each_side_once(self):
         text = (
             "EQUIDIV 1\nbij nA 2 nB 2 nC 1\nlabels A: x y\nlabels B: x y\n"

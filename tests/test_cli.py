@@ -160,24 +160,50 @@ class TestStab:
 
 
 #: Exit code and sha256 prefix of the whole `quotient --group full` output, on
-#: a 1,296-triple checkered product and a 40,320-triple 2.15 MB certificate.
+#: a 1,296-triple checkered product, a 40,320-triple 2.15 MB certificate, the
+#: Z5 table (its witness line through the C labels a..e) and a 6x1 table with
+#: A and B labels (its `quotient:` line through the B labels).
 QUOTIENT_DIGESTS = {
     "checkered (a,b,c)(d,e,f)": (1, "ffe23f50b228689b"),
     "random 8x1, seed 1": (0, "31910fdb3aa52361"),
+    "cyclic 5": (1, "1284e06ef2437818"),
+    "labelled 6x1, seed 6": (0, "8fc6054fd672d6c1"),
 }
+
+
+def _digest(code: int, out: str) -> tuple[int, str]:
+    return code, hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+def _table_text(capsys, table: str) -> str:
+    if table.startswith("checkered"):
+        return run(capsys, "gallery", "checkered", "(a,b,c)(d,e,f)")[1]
+    if table == "cyclic 5":
+        return run(capsys, "gallery", "cyclic", "5")[1]
+    if table.startswith("labelled"):
+        f = ProdBij.from_flat(random.Random(6).sample(range(6), 6), 6, 1)
+        return serialize_bijection(f, tuple("uvwxyz"), ("p0", "p1", "p2", "p3", "p4", "p5"))
+    return serialize_bijection(ProdBij.from_flat(random.Random(1).sample(range(8), 8), 8, 1))
 
 
 class TestQuotient:
     @pytest.mark.parametrize("table", QUOTIENT_DIGESTS)
     def test_output_digest(self, capsys, tmp_path, table):
-        if table.startswith("checkered"):
-            text = run(capsys, "gallery", "checkered", "(a,b,c)(d,e,f)")[1]
-        else:
-            text = serialize_bijection(ProdBij.from_flat(random.Random(1).sample(range(8), 8), 8, 1))
         path = tmp_path / "f.eqd"
-        path.write_text(text)
+        path.write_text(_table_text(capsys, table))
         code, out, _ = run(capsys, "quotient", "--in", str(path), "--group", "full")
-        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == QUOTIENT_DIGESTS[table]
+        assert _digest(code, out) == QUOTIENT_DIGESTS[table]
+
+    def test_subset_mode_digest(self, capsys, tmp_path):
+        """Subset mode on every other triple of the checkered (a,b,c)(d,e)
+        listing: an orbit-exhaustion certificate in file order."""
+        path = tmp_path / "ch5.eqd"
+        path.write_text(run(capsys, "gallery", "checkered", "(a,b,c)(d,e)")[1])
+        lines = run(capsys, "stab", "--in", str(path))[1].splitlines()
+        syms = tmp_path / "half.syms"
+        syms.write_text("".join(f"{x}\n" for i in range(0, len(lines), 6) for x in lines[i:i + 3]))
+        code, out, _ = run(capsys, "quotient", "--in", str(path), "--symmetries", str(syms))
+        assert _digest(code, out) == (1, "13aab28ba38fbf84")
 
     def test_not_exists_full(self, capsys, xor_file):
         code, out, _ = run(capsys, "quotient", "--in", xor_file, "--group", "full")
@@ -224,6 +250,27 @@ class TestQuotient:
         syms.write_text("alpha (0,1)\nbeta (0,1)\ngamma ()\n")
         code, out, _ = run(capsys, "quotient", "--in", xor_file, "--symmetries", str(syms))
         assert code == 0 and out.startswith("undecided")
+
+    def test_symmetry_subset_checks_gamma_in_group(self, capsys, tmp_path, xor_file):
+        """Subset mode reads --group too: a listed gamma outside it is invalid."""
+        syms = tmp_path / "syms.txt"
+        syms.write_text("alpha ()\nbeta (0,1)\ngamma (a,b)\n")
+        argv = ("quotient", "--in", xor_file, "--symmetries", str(syms), "--group")
+        code, out, err = run(capsys, *argv, "trivial")
+        assert (code, out) == (3, "")
+        assert err == "error: supplied triple has gamma outside the group 'trivial'\n"
+        code, out, _ = run(capsys, *argv, "gens:(a,b)")
+        assert code == 1 and "witness: alpha () beta (0,1) gamma (a,b)" in out
+        assert run(capsys, *argv, "unknown")[0] == 3
+
+    def test_symmetry_subset_group_over_cap(self, capsys, tmp_path):
+        z8 = tmp_path / "z8.eqd"
+        z8.write_text(run(capsys, "gallery", "cyclic", "8")[1])
+        syms = tmp_path / "syms.txt"
+        syms.write_text("alpha ()\nbeta ()\ngamma ()\n")
+        argv = ("quotient", "--in", str(z8), "--symmetries", str(syms))
+        code, _, err = run(capsys, *argv, "--group", "gens:(a,b,c,d,e,f,g,h) (a,b)")
+        assert code == 4 and "group order exceeds cap" in err
 
     def test_symmetry_subset_rejects_non_symmetry(self, capsys, tmp_path, xor_file):
         syms = tmp_path / "syms.txt"

@@ -241,7 +241,7 @@ def matching_cases(draw):
         return f, PermGroup.symmetric(n_c)
     if group_kind == "trivial":
         return f, PermGroup.trivial(n_c)
-    return f, PermGroup.generated(draw(st.lists(perms_of(n_c), min_size=1, max_size=2)), n_c)
+    return f, PermGroup(n_c, draw(st.lists(perms_of(n_c), min_size=1, max_size=2)))
 
 
 class TestMatching:
@@ -464,7 +464,7 @@ def decision_cases(draw):
         group = PermGroup.trivial(n_c)
     else:
         perm_c = st.permutations(range(n_c)).map(lambda xs: Perm(tuple(xs)))
-        group = PermGroup.generated(draw(st.lists(perm_c, min_size=1, max_size=2)), n_c)
+        group = PermGroup(n_c, draw(st.lists(perm_c, min_size=1, max_size=2)))
     kind = draw(st.sampled_from(["distinct", "shared", "none"]))
     if kind == "distinct":
         labels = (tuple("pqrs"[:n_a]), tuple("wxyz"[:n_a]), tuple("abcd"[:n_c]))

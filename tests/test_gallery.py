@@ -145,7 +145,7 @@ class TestCheckered:
     def test_nonexistence_under_generated_group(self):
         sigma = parse_cycles("(a,b,c)(d,e)", "abcde")
         checkered = checkered_product(sigma, tuple("abcde"))
-        cert = equivariant_quotient(checkered.bij, PermGroup.generated([sigma]))
+        cert = equivariant_quotient(checkered.bij, PermGroup(5, (sigma,)))
         assert cert.verdict == "not-exists"
 
 

@@ -42,10 +42,7 @@ EXPORTS = {
         "lazy_check_symmetry", "lazy_equal", "ordering_gadget", "render_lazy",
     ],
     "perm": ["Perm", "PermGroup", "SymTriple", "format_cycles", "parse_cycles"],
-    "search": [
-        "ProbeReport", "extract_basepoint", "fp_basepoint_divider", "gcd_filter",
-        "probe_cancelling",
-    ],
+    "search": ["ProbeReport", "extract_basepoint", "gcd_filter", "probe_cancelling"],
 }
 EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
 
@@ -129,7 +126,7 @@ class TestExportTable:
             name for name in dir(equidiv)
             if not name.startswith("_") and not inspect.ismodule(getattr(equidiv, name))
         }
-        assert len(EXPORTED) == 49
+        assert len(EXPORTED) == 48
         assert public == {name for _, name in EXPORTED}
 
     @pytest.mark.parametrize("module,name", EXPORTED)

@@ -134,7 +134,7 @@ class TestPermGroup:
         assert g.elements() == [Perm.identity(3)]
 
     def test_generated_closure_is_group(self):
-        g = PermGroup.generated([Perm.from_cycles([(0, 1, 2)], 4)])
+        g = PermGroup(4, [Perm.from_cycles([(0, 1, 2)], 4)])
         els = set(g.elements())
         assert len(els) == 3
         for x in els:
@@ -169,6 +169,6 @@ class TestPermGroup:
             assert not PermGroup.trivial(n).is_symmetric()
         swap, cycle = Perm.from_cycles([(0, 1)], 3), Perm.from_cycles([(0, 1, 2)], 3)
         # S3 from other generators, or the same generators in another order
-        assert not PermGroup.generated([swap, Perm.from_cycles([(1, 2)], 3)]).is_symmetric()
-        assert not PermGroup.generated([cycle, swap]).is_symmetric()
-        assert PermGroup.generated([swap, cycle]).is_symmetric()
+        assert not PermGroup(3, [swap, Perm.from_cycles([(1, 2)], 3)]).is_symmetric()
+        assert not PermGroup(3, [cycle, swap]).is_symmetric()
+        assert PermGroup(3, [swap, cycle]).is_symmetric()

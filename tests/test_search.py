@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from equidiv import (
     ProdBij,
     equivariant_quotient,
     extract_basepoint,
-    fp_basepoint_divider,
+    fp_divide,
     gcd_filter,
     parallelize,
     probe_cancelling,
@@ -255,4 +256,4 @@ class TestBasepointExtraction:
 
     def test_needs_three_labels(self):
         with pytest.raises(ValueError):
-            extract_basepoint(fp_basepoint_divider(0), ("a", "b"))
+            extract_basepoint(functools.partial(fp_divide, star=0), ("a", "b"))

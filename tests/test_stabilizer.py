@@ -67,7 +67,7 @@ def instances(draw):
     elif group_kind == "trivial":
         group = PermGroup.trivial(n_c)
     else:
-        group = PermGroup.generated(draw(st.lists(perm_c, min_size=1, max_size=2)), n_c)
+        group = PermGroup(n_c, draw(st.lists(perm_c, min_size=1, max_size=2)))
     return f, group
 
 
@@ -150,3 +150,34 @@ def test_pinned_decision_counts():
     assert _decision(q71, PermGroup.symmetric(1)) == (5076, "exists", "matching-found")
     discrete = random_bij(random.Random(25), 2, 5)
     assert _decision(discrete, PermGroup.symmetric(5)) == (3, "exists", "matching-found")
+
+
+#: Budget use, verdict and reason of each decision the benchmark makes under a
+#: ``gens:`` group: the right translation by 1 of each regular table, and each
+#: checkered product under its own sigma.  Pinned before Gamma is held as a
+#: chain (a change there should leave them as they are).
+GENS_DECISIONS = {
+    "Z4": (30, "not-exists", "half-fixed-witness"),
+    "Z5": (42, "not-exists", "half-fixed-witness"),
+    "Z6": (56, "not-exists", "half-fixed-witness"),
+    "Z7": (72, "not-exists", "half-fixed-witness"),
+    "klein": (26, "not-exists", "half-fixed-witness"),
+    "(a,b,c)(d,e)": (101, "not-exists", "orbit-exhaustion"),
+    "(a,b)(c,d)": (38, "not-exists", "orbit-exhaustion"),
+    "(a,b,c)(d,e,f)": (86, "not-exists", "orbit-exhaustion"),
+}
+
+
+def test_pinned_gens_decision_counts():
+    got = {}
+    for name in ("Z4", "Z5", "Z6", "Z7"):
+        table = CayleyTable.cyclic(int(name[1:]))
+        translation = PermGroup(table.n, (table.right_translation(1),))
+        got[name] = _decision(regular_rep(table), translation)
+    klein = CayleyTable.klein()
+    got["klein"] = _decision(regular_rep(klein), PermGroup(4, (klein.right_translation(1),)))
+    for sigma in ("(a,b,c)(d,e)", "(a,b)(c,d)", "(a,b,c)(d,e,f)"):
+        labels = tuple(sorted({t for t in sigma if t.isalpha()}))
+        gen = parse_cycles(sigma, labels)
+        got[sigma] = _decision(checkered_product(gen, labels).bij, PermGroup(len(labels), (gen,)))
+    assert got == GENS_DECISIONS
