@@ -189,6 +189,8 @@ def parse_bijection(text: str) -> BijFile:
         raise FormatError(f"malformed bij line: {lines[1]!r}") from exc
     if n_a != n_b:
         raise FormatError("nA and nB must agree")
+    if min(n_a, n_c) < 0:
+        raise FormatError(f"negative size in: {lines[1]!r}")
     if n_c == 0:
         raise FormatError("nC must be >= 1: C must be non-empty")
     labels: dict[str, tuple[str, ...]] = {}

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import ProdBij, content_lines
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, FormatError
-from .perm import Perm, PermGroup, SymTriple, parse_cycles, point_labels, write_cycles
+from .perm import Perm, PermGroup, SymTriple, cycle_texts, parse_cycles, point_labels, write_cycles
 
 
 class Budget:
@@ -494,20 +494,6 @@ def nonexistence_from_symmetries(
 # -- text formats -------------------------------------------------------------
 
 
-def _column(rows: Iterable, lo: int, labels: tuple, then: Callable, memos: dict) -> list[str]:
-    """Cycle notation of each element on the part at lo, lo + 1, ... that
-    ``labels`` name.  Each slice is cut and moved to local points in C, and
-    each distinct local slice is written once, into the memo in ``memos`` for
-    these labels: by default A and B share one.
-    """
-    memo = memos.setdefault(labels, {})
-    local = (0,) * lo + tuple(range(len(labels)))
-    keys = list(then(local, map(itemgetter(slice(lo, lo + len(labels))), rows)))
-    for images in set(keys).difference(memo):
-        memo[images] = write_cycles(images, labels)
-    return list(map(memo.__getitem__, keys))
-
-
 def render_symmetries(
     syms: Symmetries,
     a_labels: Sequence[str] | None = None,
@@ -517,15 +503,24 @@ def render_symmetries(
     """Three lines per triple, ``alpha``, ``beta`` and ``gamma``, in list order.
 
     Points missing a label are written as their index within A, B or C.
+    Each distinct local permutation of A and B is written once, by both
+    label sets, and C's with them when C is labelled as A is.
     """
-    n_a, n_c = syms.n_a, syms.n_c
-    then = _element_form(2 * n_a + n_c)[1]
-    labels = map(point_labels, (a_labels, b_labels, c_labels), (n_a, n_a, n_c))
-    memos: dict[tuple[str, ...], dict] = {}
-    columns = [
-        _column(syms.points, lo, labs, then, memos) for lo, labs in zip((0, n_a, 2 * n_a), labels)
-    ]
-    return "".join(map("alpha %s\nbeta %s\ngamma %s\n".__mod__, zip(*columns)))
+    n_a, n_c, points = syms.n_a, syms.n_c, syms.points
+    g0 = 2 * n_a
+    then = _element_form(g0 + n_c)[1]
+    a_labs, b_labs, c_labs = map(point_labels, (a_labels, b_labels, c_labels), (n_a, n_a, n_c))
+    alphas = list(map(itemgetter(slice(0, n_a)), points))  # A's points are already local
+    betas = list(then((0,) * n_a + tuple(range(n_a)), map(itemgetter(slice(n_a, g0)), points)))
+    gammas = list(then((0,) * g0 + tuple(range(n_c)), map(itemgetter(slice(g0, None)), points)))
+    shared = c_labs == a_labs
+    text_a, text_b = cycle_texts(set(alphas).union(betas, gammas if shared else ()), a_labs, b_labs)
+    text_c = text_a if shared else cycle_texts(set(gammas), c_labs)[0]
+    out = ["alpha ", "", "\nbeta ", "", "\ngamma ", "", "\n"] * len(points)
+    out[1::7] = map(text_a.__getitem__, alphas)
+    out[3::7] = map(text_b.__getitem__, betas)
+    out[5::7] = map(text_c.__getitem__, gammas)
+    return "".join(out)
 
 
 def parse_symmetries(

@@ -215,21 +215,49 @@ def format_cycles(p: Perm, labels: Sequence[str] | None = None) -> str:
 
 
 def write_cycles(images: Sequence[int], labels: Sequence[str]) -> str:
-    """Cycle notation for the permutation ``images`` of 0..len(images)-1,
-    which may be a tuple or bytes; a point x is written as ``labels[x]``.
+    """Cycle notation for one permutation, as :func:`cycle_texts` writes it."""
+    return cycle_texts((images,), labels)[0][images]
+
+
+def cycle_texts(
+    perms: Iterable[Sequence[int]], labels: Sequence[str], other: Sequence[str] | None = None
+) -> tuple[dict, dict]:
+    """Cycle notation of each permutation, keyed by it: by ``labels``, and by
+    the ``other`` labels, which default to ``labels``.  A permutation is a
+    tuple or bytes of the images of 0..n-1; a point x is written as its label.
 
     Cycles start at their smallest point and come in order of it, as in
     :meth:`Perm.cycles`; fixed points are left out, and "()" stands for none.
+    Each permutation is walked once, whatever the labels.  A visited point is
+    fixed in a list copy of the images, which holds any point; bytes stop at 255.
     """
-    seen = bytearray(len(images))
-    out = []
-    for p, x in enumerate(images):
-        if x == p or seen[p]:
-            continue
-        cyc = [labels[p]]
-        while x != p:
-            seen[x] = 1
-            cyc.append(labels[x])
-            x = images[x]
-        out.append("(" + ",".join(cyc) + ")")
-    return "".join(out) or "()"
+    opens, seps, texts = ["(" + lab for lab in labels], ["," + lab for lab in labels], {}
+    if other is None or other == labels:
+        for images in perms:
+            work, s, p = list(images), "", 0
+            for x in work:
+                if x != p:
+                    s += opens[p]
+                    while x != p:
+                        s += seps[x]
+                        work[x], x = x, work[x]
+                    s += ")"
+                p += 1
+            texts[images] = s or "()"
+        return texts, texts
+    opens2, seps2, texts2 = ["(" + lab for lab in other], ["," + lab for lab in other], {}
+    for images in perms:
+        work, s, t, p = list(images), "", "", 0
+        for x in work:
+            if x != p:
+                s += opens[p]
+                t += opens2[p]
+                while x != p:
+                    s += seps[x]
+                    t += seps2[x]
+                    work[x], x = x, work[x]
+                s += ")"
+                t += ")"
+            p += 1
+        texts[images], texts2[images] = s or "()", t or "()"
+    return texts, texts2

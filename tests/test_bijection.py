@@ -384,6 +384,26 @@ class TestFileFormat:
             parse_bijection(text)
         assert str(exc.value) == f"label with '(', ')' or ',' in: 'labels {side}: {names}'"
 
+    @pytest.mark.parametrize(
+        "head,rows",
+        [
+            ("bij nA -1 nB -1 nC 1", "row 0:\n"),
+            ("bij nA 2 nB 2 nC -1", ""),
+            ("bij nA 2 nB 2 nC -1", "row 0: 0:0 1:0\n"),
+            ("bij nA 0 nB 0 nC -2", "row -1:\n"),
+        ],
+    )
+    def test_rejects_negative_size(self, head, rows, tmp_path, capsys):
+        """One message that quotes the bij line, whatever lines follow it."""
+        text = f"EQUIDIV 1\n{head}\n{rows}"
+        with pytest.raises(FormatError) as exc:
+            parse_bijection(text)
+        assert str(exc.value) == f"negative size in: {head!r}"
+        path = tmp_path / "negative.eqd"
+        path.write_text(text)
+        assert main(["stab", "--in", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: negative size in: {head!r}\n"
+
     def test_labels_for_each_side_once(self):
         text = (
             "EQUIDIV 1\nbij nA 2 nB 2 nC 1\nlabels A: x y\nlabels B: x y\n"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from equidiv import ProdBij, serialize_bijection
+from equidiv import CayleyTable, ProdBij, regular_rep, serialize_bijection
 from equidiv.cli import build_parser, main
 
 
@@ -171,6 +171,15 @@ QUOTIENT_DIGESTS = {
 }
 
 
+#: Exit code and sha256 prefix of the whole `stab --group full` output: the
+#: checkered product, whose A and B hold the same permutations under different
+#: labels, and the Klein table with C labelled as A and B labelled apart.
+STAB_DIGESTS = {
+    "checkered (a,b,c)(d,e,f)": (0, "aab882b5789c6a4a"),
+    "labelled klein 4x4": (0, "0883d304976c254b"),
+}
+
+
 def _digest(code: int, out: str) -> tuple[int, str]:
     return code, hashlib.sha256(out.encode()).hexdigest()[:16]
 
@@ -180,6 +189,11 @@ def _table_text(capsys, table: str) -> str:
         return run(capsys, "gallery", "checkered", "(a,b,c)(d,e,f)")[1]
     if table == "cyclic 5":
         return run(capsys, "gallery", "cyclic", "5")[1]
+    if table == "labelled klein 4x4":
+        a_labels = ("p0", "p1", "p2", "p3")
+        return serialize_bijection(
+            regular_rep(CayleyTable.klein()), a_labels, ("q̄0", "q̄1", "q̄2", "q̄3"), a_labels
+        )
     if table.startswith("labelled"):
         f = ProdBij.from_flat(random.Random(6).sample(range(6), 6), 6, 1)
         return serialize_bijection(f, tuple("uvwxyz"), ("p0", "p1", "p2", "p3", "p4", "p5"))
@@ -193,6 +207,13 @@ class TestQuotient:
         path.write_text(_table_text(capsys, table))
         code, out, _ = run(capsys, "quotient", "--in", str(path), "--group", "full")
         assert _digest(code, out) == QUOTIENT_DIGESTS[table]
+
+    @pytest.mark.parametrize("table", STAB_DIGESTS)
+    def test_stab_output_digest(self, capsys, tmp_path, table):
+        path = tmp_path / "f.eqd"
+        path.write_text(_table_text(capsys, table))
+        code, out, _ = run(capsys, "stab", "--in", str(path), "--group", "full")
+        assert _digest(code, out) == STAB_DIGESTS[table]
 
     def test_subset_mode_digest(self, capsys, tmp_path):
         """Subset mode on every other triple of the checkered (a,b,c)(d,e)

@@ -449,7 +449,8 @@ def reference_listing(triples, a, b, c) -> str:
 def decision_cases(draw):
     """(f, group, labels) at nA, nC <= 4: random and parallel tables under
     full, trivial and random gens: subgroups, with distinct labels per part,
-    one label tuple shared by A and B (and by C when nC == nA), or none."""
+    one label tuple shared by A and B (and by C when nC == nA), A and C
+    sharing one that B does not, or none."""
     n_a = draw(st.integers(0, 4))
     n_c = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -465,12 +466,16 @@ def decision_cases(draw):
     else:
         perm_c = st.permutations(range(n_c)).map(lambda xs: Perm(tuple(xs)))
         group = PermGroup(n_c, draw(st.lists(perm_c, min_size=1, max_size=2)))
-    kind = draw(st.sampled_from(["distinct", "shared", "none"]))
+    kind = draw(st.sampled_from(["distinct", "shared", "mixed", "none"]))
     if kind == "distinct":
         labels = (tuple("pqrs"[:n_a]), tuple("wxyz"[:n_a]), tuple("abcd"[:n_c]))
     elif kind == "shared":
         shared = tuple("pqrs"[:n_a])
         labels = (shared, shared, shared if n_c == n_a else tuple("abcd"[:n_c]))
+    elif kind == "mixed":
+        a_labels = tuple(f"p{i}" for i in range(n_a))
+        c_labels = a_labels if n_c == n_a else tuple(f"c{i}" for i in range(n_c))
+        labels = (a_labels, tuple(f"q̄{i}" for i in range(n_a)), c_labels)
     else:
         labels = (None, None, None)
     return f, group, labels
@@ -534,6 +539,15 @@ class TestPastByteRange:
         assert capsys.readouterr().out == "verdict exists\nquotient: 0 1 2\n" + listing
         assert main(["quotient", "--in", str(table), "--symmetries", str(stab)]) == 0
         assert capsys.readouterr().out == "undecided: symmetry subset admits a matching\n"
+
+    def test_part_of_257_points(self):
+        # row 0 is the identity and row 1 the shift a -> a + 1 on 257 points, so
+        # under trivial the symmetries are the 257 triples (s^k, s^k, id)
+        n = 257
+        f = ProdBij.from_flat([*range(n), *(n + (a + 1) % n for a in range(n))], n, 2)
+        syms = stabilizer(f, PermGroup.trivial(2))
+        assert len(syms) == n
+        assert render_symmetries(syms) == reference_listing(syms, None, None, None)
 
 
 def split_by_definition(t, n_a):
