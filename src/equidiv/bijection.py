@@ -41,7 +41,10 @@ class ProdBij:
         n_a = len(rows[0]) if rows else 0
         if any(sorted(row) != list(range(n_a)) for row in rows):
             raise ValueError("rows must be permutations of 0..nA-1")
-        return cls.from_flat([c * n_a + b for c, row in enumerate(rows) for b in row], n_a, n_c)
+        flat: list[int] = []
+        for c, row in enumerate(rows):
+            flat += map((c * n_a).__add__, row)
+        return cls.from_flat(flat, n_a, n_c)
 
     @classmethod
     def from_flat(cls, flat: Iterable[int], n_a: int, n_c: int) -> "ProdBij":
@@ -168,6 +171,12 @@ class BijFile:
     c_labels: tuple[str, ...] | None = None
 
 
+def cell_names(n_a: int, n_c: int) -> list[str]:
+    """How each cell (b, c') of B x C is written, ``b:c'``, by flat index c'*nA + b."""
+    heads = [f"{b}:" for b in range(n_a)]
+    return [head + c2 for c2 in map(str, range(n_c)) for head in heads]
+
+
 def content_lines(text: str) -> list[str]:
     """The non-blank lines of a line-based text, each cut at its first '#'
     and stripped."""
@@ -193,6 +202,15 @@ def parse_bijection(text: str) -> BijFile:
         raise FormatError(f"negative size in: {lines[1]!r}")
     if n_c == 0:
         raise FormatError("nC must be >= 1: C must be non-empty")
+    # Each row line is split once, here.  A row of cell names is read by one
+    # lookup per token; the name table is built only when the rows hold the
+    # nA*nC tokens of a valid file, so it is never larger than the input.
+    split_rows = [line.partition(":")[2].split() for line in lines if line.startswith("row ")]
+    n_cells = n_a * n_c
+    index = {}
+    if sum(map(len, split_rows)) == n_cells:
+        index = dict(zip(cell_names(n_a, n_c), range(n_cells)))
+    row_tokens = iter(split_rows)
     labels: dict[str, tuple[str, ...]] = {}
     rows: dict[int, list[int]] = {}  # flat cells c'*nA + b
     out_of_range: dict[int, tuple[int, int]] = {}  # first (b, c') out of range, per row
@@ -212,25 +230,30 @@ def parse_bijection(text: str) -> BijFile:
                 raise FormatError(f"label with '(', ')' or ',' in: {line!r}")
             labels[side] = names
         elif line.startswith("row "):
-            head, _, body = line.partition(":")
+            head = line.partition(":")[0]
             try:
                 c = int(head[len("row "):])
             except ValueError as exc:
                 raise FormatError(f"bad row line: {line!r}") from exc
             if c in rows or not 0 <= c < n_c:
                 raise FormatError(f"bad or duplicate row index in: {line!r}")
-            cells = []
-            for tok in body.split():
-                b_s, _, c_s = tok.partition(":")
-                try:
-                    b, c2 = int(b_s), int(c_s)
-                except ValueError as exc:
-                    raise FormatError(f"bad entry {tok!r}") from exc
-                if not (0 <= b < n_a and 0 <= c2 < n_c):
-                    out_of_range.setdefault(c, (b, c2))
-                cells.append(c2 * n_a + b)
-            if len(cells) != n_a:
-                raise FormatError(f"row {c} has {len(cells)} entries, expected {n_a}")
+            tokens = next(row_tokens)
+            cells = list(map(index.get, tokens))
+            if len(cells) != n_a or None in cells:
+                # any other token is read as two ints (01:0, +1:0 and ١:1 are
+                # cells, 2:0 at nA 2 is out of range), and the row's length checked
+                cells = []
+                for tok in tokens:
+                    b_s, _, c_s = tok.partition(":")
+                    try:
+                        b, c2 = int(b_s), int(c_s)
+                    except ValueError as exc:
+                        raise FormatError(f"bad entry {tok!r}") from exc
+                    if not (0 <= b < n_a and 0 <= c2 < n_c):
+                        out_of_range.setdefault(c, (b, c2))
+                    cells.append(c2 * n_a + b)
+                if len(cells) != n_a:
+                    raise FormatError(f"row {c} has {len(cells)} entries, expected {n_a}")
             rows[c] = cells
         else:
             raise FormatError(f"unrecognized line: {line!r}")
@@ -262,7 +285,7 @@ def serialize_bijection(
         if labs is not None:
             out.append(f"labels {side}: " + " ".join(labs))
     n_a = f.n_a
-    cell = [f"{b}:{c2}" for c2 in range(f.n_c) for b in range(n_a)]  # by flat index
+    cell = cell_names(n_a, f.n_c)
     for c in range(f.n_c):
         body = " ".join(map(cell.__getitem__, f.fwd[c * n_a:(c + 1) * n_a]))
         out.append(f"row {c}: {body}".rstrip())

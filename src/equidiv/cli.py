@@ -73,8 +73,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_divide(args) -> int:
     bf = _load(args.infile)
-    h = fp_divide(bf.bij, _resolve_base(args.base, _labels(bf)[2]))
-    _emit(" ".join(str(b) for b in h.images) + "\n", args.out)
+    h = fp_divide(bf.bij, _resolve_base(args.base, point_labels(bf.c_labels, bf.bij.n_c)))
+    _emit(" ".join(map(str, h.images)) + "\n", args.out)
     return 0
 
 
@@ -126,7 +126,11 @@ def _cmd_quotient(args) -> int:
     return 0 if cert.verdict == "exists" else EXIT_NOT_EXISTS
 
 
-def _cmd_gallery(args) -> int:
+def _cmd_gallery(parser: argparse.ArgumentParser, args) -> int:
+    kind = args.kind
+    if bool(args.arg) == (kind == "klein"):
+        parser.error(f"{kind} takes no argument" if args.arg else f"{kind} needs an argument")
+
     from .gallery import (
         CayleyTable,
         checkered_product,
@@ -135,7 +139,6 @@ def _cmd_gallery(args) -> int:
         shift_table,
     )
 
-    kind = args.kind
     if kind in ("cyclic", "klein"):
         table = CayleyTable.cyclic(int(args.arg)) if kind == "cyclic" else CayleyTable.klein()
         f = regular_rep(table)
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("arg", nargs="?", default="")
     p.add_argument("--window", type=int, default=8, help="columns for lazy tables")
     p.add_argument("--labels", help="C labels for thm4 (space separated)")
-    p.set_defaults(fn=_cmd_gallery)
+    p.set_defaults(fn=functools.partial(_cmd_gallery, p))
 
     p = sub.add_parser("probe", help="scan all bijections at a small size")
     p.add_argument("--nA", dest="n_a", type=int, required=True)

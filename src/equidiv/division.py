@@ -16,8 +16,9 @@ cell at a time.  It needs no relabeling because subtracting j1 and then j2
 (in the labels left by j1) is subtracting j1 | j2 from f: the arrays keep the
 original labels of A and B throughout.
 
-The cycle search is incremental.  The graph is x -> q[p[x]], where
-p[x] = fwd[(x, c*)] mod nA and q[b] = inv[(b, c*)] mod nA.  Round 1 walks from
+The cycle search is incremental.  The graph is x -> q[p[x]], where the
+arrays p[x] = fwd[(x, c*)] mod nA and q[b] = inv[(b, c*)] mod nA are kept in
+step with every splice that rewrites a cell of row c*.  Round 1 walks from
 every point.  A round commits every cycle of its graph, and a cycle whose
 edges no splice changed would have been one of them, so a cycle of the next
 round's graph must use an edge that the splices changed: either
@@ -43,7 +44,9 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
     n = f.n_a
     fwd, inv = list(f.fwd), list(f.inv)
     rows = [c * n for c in range(f.n_c)]
-    base = star * n
+    base, top = star * n, star * n + n
+    p = [t % n for t in fwd[base:top]]  # the basepoint row of f
+    q = [s % n for s in inv[base:top]]  # the basepoint row of f^-1
     images = [-1] * n
     stamp = [0] * n  # id of the last walk that visited each A point
     walk = 0
@@ -61,13 +64,13 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
             while stamp[x] < first:
                 stamp[x] = walk
                 path.append(x)
-                x = inv[base + fwd[base + x] % n] % n
+                x = q[p[x]]
             if stamp[x] == walk:
                 core += path[path.index(x):]
         if not core:
             raise AssertionError("no cycle among surviving points (bug)")
         committed += len(core)
-        taken = [fwd[base + x] % n for x in core]
+        taken = [p[x] for x in core]
         if len(set(taken)) != len(taken):
             raise AssertionError("basepoint row not injective on cycle core (bug)")
         starts = []
@@ -77,9 +80,11 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
                 u, t = inv[r + y], fwd[r + x]
                 fwd[u] = t
                 inv[t] = u
-                if 0 <= u - base < n:  # p changed at A point u - base
+                if base <= u < top:  # p changed at A point u - base
+                    p[u - base] = t % n
                     starts.append(u - base)
-                if 0 <= t - base < n:  # q changed at B point t - base
+                if base <= t < top:  # q changed at B point t - base
+                    q[t - base] = u % n
                     starts.append(u % n)
     return Perm(tuple(images))
 

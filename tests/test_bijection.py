@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from equidiv import (
+    BijFile,
     FormatError,
     PartialMap,
     Perm,
@@ -66,6 +68,68 @@ def _serialize_reference(n_a, n_c, rows):
         body = " ".join(f"{b}:{c2}" for b, c2 in rows[c])
         out.append(f"row {c}: {body}".rstrip())
     return "\n".join(out) + "\n"
+
+
+#: Tokens that are no cell's canonical name, yet some of which int() reads:
+#: 01:0, +0:0 and +1:0 as in-range cells, the Arabic-Indic digit in ١:1 as 1,
+#: and 1_0:0 as b = 10.
+ODD_TOKENS = ("01:0", "+0:0", "+1:0", "١:1", "1_0:0", "1:0:0", ":1", "1:", "2:0")
+
+
+def _parse_rows_reference(n_a, n_c, row_lines):
+    """The table that these row lines hold, read token by token by definition:
+    the first error in line order is raised, except that an out-of-range
+    entry is reported after the format checks, for the lowest row index."""
+    rows, first_out_of_range = {}, {}
+    for line in row_lines:
+        head, _, body = line.partition(":")
+        c = int(head[len("row "):])
+        if c in rows or not 0 <= c < n_c:
+            raise FormatError(f"bad or duplicate row index in: {line!r}")
+        rows[c] = []
+        for tok in body.split():
+            b_s, _, c_s = tok.partition(":")
+            try:
+                b, c2 = int(b_s), int(c_s)
+            except ValueError:
+                raise FormatError(f"bad entry {tok!r}") from None
+            if not (0 <= b < n_a and 0 <= c2 < n_c):
+                first_out_of_range.setdefault(c, (b, c2))
+            rows[c].append(c2 * n_a + b)
+        if len(rows[c]) != n_a:
+            raise FormatError(f"row {c} has {len(rows[c])} entries, expected {n_a}")
+    if set(rows) != set(range(n_c)):
+        raise FormatError("missing rows")
+    if first_out_of_range:
+        raise FormatError(f"entry out of range: {first_out_of_range[min(first_out_of_range)]}")
+    try:
+        return ProdBij.from_flat([t for c in range(n_c) for t in rows[c]], n_a, n_c)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+@st.composite
+def row_lines(draw):
+    """(nA, nC, row lines) of a canonical table, then up to four edits: an odd
+    token, a dropped token, an added or a repeated cell; rows in any order."""
+    n_a, n_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    names = [f"{b}:{c2}" for c2 in range(n_c) for b in range(n_a)]
+    cells = draw(st.permutations(names))
+    rows = [cells[c * n_a:(c + 1) * n_a] for c in range(n_c)]
+    for _ in range(draw(st.integers(0, 4))):
+        row = rows[draw(st.integers(0, n_c - 1))]
+        i = draw(st.integers(0, len(row)))
+        edit = draw(st.sampled_from(("odd", "drop", "add", "repeat")))
+        if edit == "add":
+            row.insert(i, draw(st.sampled_from(names)))
+        elif i < len(row):
+            if edit == "drop":
+                del row[i]
+            else:
+                row[i] = draw(st.sampled_from(ODD_TOKENS if edit == "odd" else names))
+    sep = draw(st.sampled_from((" ", "  ", "\t")))
+    order = draw(st.permutations(range(n_c)))
+    return n_a, n_c, [f"row {c}: " + sep.join(rows[c]) for c in order]
 
 
 class TestProdBij:
@@ -403,6 +467,42 @@ class TestFileFormat:
         path.write_text(text)
         assert main(["stab", "--in", str(path)]) == 3
         assert capsys.readouterr().err == f"error: negative size in: {head!r}\n"
+
+    @given(row_lines())
+    @example((2, 2, ["row 0: +0:0 01:0", "row 1: ١:1 0:1"]))
+    @example((2, 2, ["row 0: 0:0 1_0:0", "row 1: 1:1 0:1"]))
+    def test_rows_read_as_by_definition(self, case):
+        """The same table, or a FormatError with the same message, as the
+        token-by-token reference."""
+        n_a, n_c, lines = case
+        text = f"EQUIDIV 1\nbij nA {n_a} nB {n_a} nC {n_c}\n" + "".join(f"{x}\n" for x in lines)
+        try:
+            expected = BijFile(_parse_rows_reference(n_a, n_c, lines))
+        except FormatError as exc:
+            expected = str(exc)
+        try:
+            got = parse_bijection(text)
+        except FormatError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_large_header_short_row_reads_little(self, tmp_path, capsys):
+        """A header of 10^10 cells and a row of one: rejected at that row,
+        with no table sized by the header."""
+        text = "EQUIDIV 1\nbij nA 100000 nB 100000 nC 100000\nrow 0: 0:0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                parse_bijection(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "row 0 has 1 entries, expected 100000"
+        assert peak < 5 * 2**20
+        path = tmp_path / "large.eqd"
+        path.write_text(text)
+        assert main(["divide", "--in", str(path), "--base", "0"]) == 3
+        assert capsys.readouterr().err == "error: row 0 has 1 entries, expected 100000\n"
 
     def test_labels_for_each_side_once(self):
         text = (

@@ -116,6 +116,40 @@ class TestDivide:
         assert code == 3 and out == "" and "repeated label" in err
 
 
+#: Exit code and sha256 prefix of the whole output of a division command, on
+#: a seeded non-parallel 256x7 table and a seeded 96x6 table labelled on A, B
+#: and C.
+DIVISION_DIGESTS = {
+    ("random 256x7, seed 2", "parallelize"): (0, "c26b97e0a267dd14"),
+    ("random 256x7, seed 2", "divide --base 0"): (0, "f2e0a133507af0b0"),
+    ("random 256x7, seed 2", "divide --base 5"): (0, "65d4a4b83b0c5779"),
+    ("labelled 96x6, seed 3", "parallelize"): (0, "13e152bbd32bf06a"),
+}
+
+
+def _division_table(table: str) -> str:
+    n_a, n_c, seed = (96, 6, 3) if table.startswith("labelled") else (256, 7, 2)
+    f = ProdBij.from_flat(random.Random(seed).sample(range(n_a * n_c), n_a * n_c), n_a, n_c)
+    assert not f.is_parallel()
+    if table.startswith("labelled"):
+        return serialize_bijection(
+            f,
+            tuple(f"x{i}" for i in range(n_a)),
+            tuple(f"ȳ{i}" for i in range(n_a)),
+            tuple(f"c{i}" for i in range(n_c)),
+        )
+    return serialize_bijection(f)
+
+
+@pytest.mark.parametrize("table,command", DIVISION_DIGESTS)
+def test_division_output_digest(capsys, tmp_path, table, command):
+    path = tmp_path / "f.eqd"
+    path.write_text(_division_table(table))
+    name, *rest = command.split()
+    code, out, _ = run(capsys, name, "--in", str(path), *rest)
+    assert _digest(code, out) == DIVISION_DIGESTS[table, command]
+
+
 class TestParallelize:
     def test_roundtrip(self, capsys, xor_file):
         code, out, _ = run(capsys, "parallelize", "--in", xor_file)
@@ -309,6 +343,27 @@ class TestGallery:
     def test_klein(self, capsys):
         code, out, _ = run(capsys, "gallery", "klein")
         assert code == 0 and "bij nA 4 nB 4 nC 4" in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["regular-rep"], "regular-rep needs an argument"),
+            (["cyclic"], "cyclic needs an argument"),
+            (["checkered"], "checkered needs an argument"),
+            (["thm4", "--window", "3"], "thm4 needs an argument"),
+            (["gadget-xyz"], "gadget-xyz needs an argument"),
+            (["cyclic", ""], "cyclic needs an argument"),
+            (["klein", "x"], "klein takes no argument"),
+        ],
+    )
+    def test_argument_checked_per_kind(self, capsys, argv, message):
+        """A missing argument, or one given to klein, is a usage error that
+        names the kind, before any file is read."""
+        with pytest.raises(SystemExit) as exc:
+            main(["gallery", *argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith(f"equidiv gallery: error: {message}\n")
 
     def test_regular_rep_from_file(self, capsys, tmp_path):
         table = tmp_path / "z3.txt"
