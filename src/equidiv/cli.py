@@ -130,6 +130,11 @@ def _cmd_gallery(parser: argparse.ArgumentParser, args) -> int:
     kind = args.kind
     if bool(args.arg) == (kind == "klein"):
         parser.error(f"{kind} takes no argument" if args.arg else f"{kind} needs an argument")
+    if kind == "cyclic":
+        try:
+            order = int(args.arg)
+        except ValueError:
+            parser.error(f"cyclic needs an integer order, not {args.arg!r}")
 
     from .gallery import (
         CayleyTable,
@@ -140,7 +145,7 @@ def _cmd_gallery(parser: argparse.ArgumentParser, args) -> int:
     )
 
     if kind in ("cyclic", "klein"):
-        table = CayleyTable.cyclic(int(args.arg)) if kind == "cyclic" else CayleyTable.klein()
+        table = CayleyTable.cyclic(order) if kind == "cyclic" else CayleyTable.klein()
         f = regular_rep(table)
         sys.stdout.write(serialize_bijection(f, None, None, _default_labels(f.n_c)))
     elif kind == "regular-rep":

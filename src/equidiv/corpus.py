@@ -269,11 +269,7 @@ def check_checkered_symmetries() -> None:
 def check_checkered_nonexistence() -> None:
     prod = _checkered_5()
     sigma = parse_cycles("(a,b,c)(d,e)", prod.c_labels)
-    sigma_powers = set()
-    g = sigma
-    while not g.is_identity():
-        sigma_powers.add(g)
-        g = g.then(sigma)
+    sigma_powers = PermGroup(sigma.degree, (sigma,)).elements()
     subset = [t for t in prod.triples if t.gamma in sigma_powers]
     assert len(subset) == 5
     cert = nonexistence_from_symmetries(prod.bij, subset)

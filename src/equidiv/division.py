@@ -92,10 +92,11 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
 def parallelize(f: ProdBij) -> ProdBij:
     """Collect the basepoint quotients for every c into one parallel bijection.
 
-    The nC divisions share ``f.inv``, which is built once.
+    The nC divisions share ``f.inv``, which is built once.  Each quotient is
+    checked as it becomes a ``Perm``, and the table once, by ``from_flat``.
     """
-    if f.n_c == 0:
+    n, n_c = f.n_a, f.n_c
+    if n_c == 0:
         raise ValueError("parallelize needs a nonempty C (nC >= 1)")
-    return ProdBij.parallel_from_rows(
-        [fp_divide(f, c).images for c in range(f.n_c)]
-    )
+    flat = [c * n + b for c in range(n_c) for b in fp_divide(f, c).images]
+    return ProdBij.from_flat(flat, n, n_c)

@@ -14,13 +14,13 @@ keeps the colours, gives a base and strong generating set, with one coset
 representative per point of each basic orbit.  The result is a
 :class:`Symmetries` record: the group's elements, sorted, each a permutation
 of the N points, and its generators.  Callers iterate it, which builds one
-:class:`SymTriple` per element.  The half-fixed witness is found by
-comparing slices of those elements, and a certificate is written from them.
-With no generators the canonical matching is the identity; else the matching
-and the soundness re-check use the generators alone.  The matching computes
-each orbit on A x B when its search first reaches one of its cells, and
-returns the images of h.  :func:`pair_orbits` is the whole table, for tests
-and tracing.
+:class:`SymTriple` per element.  With no generators the group is {id}, and
+the canonical matching, the identity, is returned before any scan.  Else the
+half-fixed witness is found by comparing slices of the elements, and the
+matching and the soundness re-check use the generators alone.  The matching
+computes each orbit on A x B when its search first reaches one of its cells,
+and returns the images of h.  A certificate is written from the elements.
+:func:`pair_orbits` is the whole table, for tests and tracing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import ProdBij, content_lines
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, FormatError
-from .perm import Perm, PermGroup, SymTriple, cycle_texts, parse_cycles, point_labels, write_cycles
+from .perm import Perm, PermGroup, SymTriple, cycle_texts, format_cycles, parse_cycles, point_labels
 
 
 class Budget:
@@ -446,15 +446,15 @@ def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
     fixed by the group they generate, which holds every listed triple.
     """
     n_a, gens = f.n_a, syms.generators
+    if not gens:  # {id}: no witness, and every orbit is one cell, so h is the identity
+        budget.tick(n_a)
+        return Certificate("exists", Perm.identity(n_a), syms, "matching-found")
     ident = _element_form(2 * n_a + f.n_c)[0](range(2 * n_a))  # alpha and beta, in element form
     id_a, id_b = ident[:n_a], ident[n_a:]
     half_fixed = (t for t in syms.points if (t[:n_a] == id_a) != (t[n_a:2 * n_a] == id_b))
     if (t := next(half_fixed, None)) is not None:
         witness = _splitter(n_a, f.n_c)(t)
         return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
-    if not gens:  # every orbit is one cell, so the canonical matching is the identity
-        budget.tick(n_a)
-        return Certificate("exists", Perm.identity(n_a), syms, "matching-found")
     moves = [(t.alpha.images, t.beta.images) for t in gens]
     images = _orbit_union_matching(moves, f.n_a, f.n_b, budget)
     if images is None:
@@ -562,9 +562,9 @@ def render_certificate(
         w = cert.witness
         if w is not None:  # its three symmetry lines, on one line
             lines.append(
-                f"witness: alpha {write_cycles(w.alpha.images, a_labels)} "
-                f"beta {write_cycles(w.beta.images, b_labels)} "
-                f"gamma {write_cycles(w.gamma.images, c_labels)}"
+                f"witness: alpha {format_cycles(w.alpha, a_labels)} "
+                f"beta {format_cycles(w.beta, b_labels)} "
+                f"gamma {format_cycles(w.gamma, c_labels)}"
             )
     body = render_symmetries(syms, a_labels, b_labels, c_labels)
     return "\n".join(lines) + "\n" + body

@@ -211,12 +211,7 @@ def point_labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
 
 def format_cycles(p: Perm, labels: Sequence[str] | None = None) -> str:
     """Render a permutation in cycle notation; identity renders as "()"."""
-    return write_cycles(p.images, point_labels(labels, p.degree))
-
-
-def write_cycles(images: Sequence[int], labels: Sequence[str]) -> str:
-    """Cycle notation for one permutation, as :func:`cycle_texts` writes it."""
-    return cycle_texts((images,), labels)[0][images]
+    return cycle_texts((p.images,), point_labels(labels, p.degree))[0][p.images]
 
 
 def cycle_texts(

@@ -13,6 +13,13 @@ def inverse(p: Perm) -> Perm:
     return Perm(tuple(preimage[y] for y in range(p.degree)))
 
 
+def cycles_text(p: Perm, labels) -> str:
+    """Cycle notation by definition, from Perm.cycles()."""
+    labels = labels or [str(i) for i in range(p.degree)]
+    text = "".join("(" + ",".join(labels[x] for x in c) + ")" for c in p.cycles() if len(c) > 1)
+    return text or "()"
+
+
 def identity_table(n_a: int, n_c: int) -> ProdBij:
     """The table with f(a, c) = (a, c): flat index s goes to s."""
     return ProdBij.from_flat(range(n_a * n_c), n_a, n_c)

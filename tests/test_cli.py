@@ -354,11 +354,14 @@ class TestGallery:
             (["gadget-xyz"], "gadget-xyz needs an argument"),
             (["cyclic", ""], "cyclic needs an argument"),
             (["klein", "x"], "klein takes no argument"),
+            (["cyclic", "x"], "cyclic needs an integer order, not 'x'"),
+            (["cyclic", "2.5"], "cyclic needs an integer order, not '2.5'"),
         ],
     )
     def test_argument_checked_per_kind(self, capsys, argv, message):
-        """A missing argument, or one given to klein, is a usage error that
-        names the kind, before any file is read."""
+        """A missing argument, one given to klein, or a cyclic order that is
+        no integer is a usage error that names the kind, before any file is
+        read."""
         with pytest.raises(SystemExit) as exc:
             main(["gallery", *argv])
         out = capsys.readouterr()

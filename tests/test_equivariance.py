@@ -37,7 +37,7 @@ from equidiv.cli import main
 from equidiv.corpus import two_by_two_counterexample
 from equidiv.equivariance import Orbit, Symmetries, _orbit_union_matching
 
-from conftest import identity_table, inverse, random_bij
+from conftest import cycles_text, identity_table, inverse, random_bij
 
 
 def halffixed_witness(symmetries):
@@ -428,13 +428,6 @@ class TestTextFormats:
         assert lines[0] == "verdict not-exists"
         assert lines[1] == "reason: half-fixed-witness"
         assert lines[2] == "witness: alpha () beta (0,1) gamma (a,b)"
-
-
-def cycles_text(p: Perm, labels) -> str:
-    """Cycle notation by definition, from Perm.cycles()."""
-    labels = labels or [str(i) for i in range(p.degree)]
-    text = "".join("(" + ",".join(labels[x] for x in c) + ")" for c in p.cycles() if len(c) > 1)
-    return text or "()"
 
 
 def reference_listing(triples, a, b, c) -> str:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equidiv import (
@@ -12,7 +12,7 @@ from equidiv import (
     parse_cycles,
 )
 
-from conftest import inverse
+from conftest import cycles_text, inverse
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n)).map(lambda xs: Perm(tuple(xs)))
@@ -122,6 +122,21 @@ class TestCycleNotation:
 
     def test_format_identity(self):
         assert format_cycles(Perm.identity(4)) == "()"
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 300).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        ),
+        st.booleans(),
+    )
+    def test_format_matches_definition(self, case, labelled):
+        """format_cycles writes what Perm.cycles() defines, past the 256
+        points that bytes can hold, by index or by labels in any order."""
+        images, names = case
+        p = Perm(tuple(images))
+        labels = [f"x{i}" for i in names] if labelled else None
+        assert format_cycles(p, labels) == cycles_text(p, labels)
 
 
 class TestPermGroup:
