@@ -4,7 +4,9 @@ A symmetry of f is a triple (alpha, beta, gamma) whose relabeling fixes f.
 A quotient h : A -> B is Gamma-equivariant when every symmetry with gamma in
 Gamma also fixes h, i.e. h = alpha^-1 then h then beta.  Equivalently the
 graph of h is invariant under (a, b) -> (alpha(a), beta(b)), which turns the
-existence question into a perfect-matching search over orbits of A x B.
+existence question into a perfect matching over orbits of A x B.  A row
+orbit can pair with a column orbit iff their point stabilizers are
+conjugate, an equivalence, so one pass that never undoes a choice decides it.
 
 The symmetries with gamma in Gamma form a group.  :func:`stabilizer` first
 refines a colouring of the N = 2nA + nC points that every symmetry keeps: if
@@ -18,7 +20,7 @@ of the N points, and its generators.  Callers iterate it, which builds one
 the canonical matching, the identity, is returned before any scan.  Else the
 half-fixed witness is found by comparing slices of the elements, and the
 matching and the soundness re-check use the generators alone.  The matching
-computes each orbit on A x B when its search first reaches one of its cells,
+computes each orbit on A x B when its pass first reaches one of its cells,
 and returns the images of h.  A certificate is written from the elements.
 :func:`pair_orbits` is the whole table, for tests and tracing.
 """
@@ -403,37 +405,34 @@ def _orbit_union_matching(
     """The images of h, whose graph is a union of matchable orbits of A x B
     cells, or None if there is no such h.
 
-    ``moves`` are the generators' (alpha, beta) image pairs.  The search
-    branches on the first row a with no image yet (-1) and tries its cells
-    (a, b) in column order, computing each orbit when it first reaches it.
-    Earlier rows are covered, so an orbit it can take has (a, b) as its least
-    cell: orbits are tried in lexicographic order, and the first solution is
-    canonical.
+    ``moves`` are the generators' (alpha, beta) image pairs.  For each row a
+    with no image yet (-1), in order, one pass takes the first free column b
+    whose orbit of (a, b) is matchable, computing each orbit when it first
+    reaches it, and gives that orbit's rows their images.  Rows and columns
+    are only ever taken as whole orbits, so that orbit is free.  No choice
+    needs undoing: a cell's orbit is matchable iff a and b have the same
+    stabilizer, so a row orbit can pair with a column orbit iff their point
+    stabilizers are conjugate.  That is an equivalence, and the pass fails
+    only when some class has more row orbits than column orbits, when no h
+    exists.  Earlier rows are covered, so (a, b) is the least cell of the
+    orbit taken, and the images are the canonical matching: the first in
+    lexicographic order of orbits.
     """
     orbit_of: dict[tuple[int, int], Orbit] = {}
     images = [-1] * n_a
     col_free = [True] * n_b
-
-    def backtrack() -> bool:
-        try:
-            a = images.index(-1)
-        except ValueError:
-            return True
+    for a in range(n_a):
+        if images[a] >= 0:
+            continue
         for b in range(n_b):
-            if not col_free[b]:
-                continue
-            o = _orbit((a, b), moves, orbit_of)
-            if o.matchable and all(images[r] < 0 and col_free[c] for r, c in o.cells):
-                budget.tick()
-                for r, c in o.cells:
-                    images[r], col_free[c] = c, False
-                if backtrack():
-                    return True
-                for r, c in o.cells:
-                    images[r], col_free[c] = -1, True
-        return False
-
-    return images if backtrack() else None
+            if col_free[b] and (o := _orbit((a, b), moves, orbit_of)).matchable:
+                break
+        else:
+            return None
+        budget.tick()
+        for r, c in o.cells:
+            images[r], col_free[c] = c, False
+    return images
 
 
 def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
@@ -504,7 +503,7 @@ def render_symmetries(
 
     Points missing a label are written as their index within A, B or C.
     Each distinct local permutation of A and B is written once, by both
-    label sets, and C's with them when C is labelled as A is.
+    label sets, and each of C's once, by C's.
     """
     n_a, n_c, points = syms.n_a, syms.n_c, syms.points
     g0 = 2 * n_a
@@ -513,9 +512,8 @@ def render_symmetries(
     alphas = list(map(itemgetter(slice(0, n_a)), points))  # A's points are already local
     betas = list(then((0,) * n_a + tuple(range(n_a)), map(itemgetter(slice(n_a, g0)), points)))
     gammas = list(then((0,) * g0 + tuple(range(n_c)), map(itemgetter(slice(g0, None)), points)))
-    shared = c_labs == a_labs
-    text_a, text_b = cycle_texts(set(alphas).union(betas, gammas if shared else ()), a_labs, b_labs)
-    text_c = text_a if shared else cycle_texts(set(gammas), c_labs)[0]
+    text_a, text_b = cycle_texts(set(alphas).union(betas), a_labs, b_labs)
+    text_c = cycle_texts(set(gammas), c_labs)[0]
     out = ["alpha ", "", "\nbeta ", "", "\ngamma ", "", "\n"] * len(points)
     out[1::7] = map(text_a.__getitem__, alphas)
     out[3::7] = map(text_b.__getitem__, betas)

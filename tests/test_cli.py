@@ -86,6 +86,26 @@ class TestUsage:
         code, _, err = run(capsys, "stab", "--in", xor_file, "--group", "weird")
         assert code == 3
 
+    def test_empty_gens_group(self, capsys, xor_file):
+        code, out, err = run(capsys, "quotient", "--in", xor_file, "--group", "gens:")
+        assert code == 3 and out == ""
+        assert err == "error: gens: needs at least one cycle product\n"
+
+    @pytest.mark.parametrize(
+        "head, body, message",
+        [
+            ("bij nA 2 nX 2 nC 1", "row 0: 0:0 1:0", "malformed bij line: 'bij nA 2 nX 2 nC 1'"),
+            ("bij nA 2 nB two nC 1", "row 0: 0:0 1:0", "malformed bij line: 'bij nA 2 nB two nC 1'"),
+            ("bij nA 2 nB 2 nC 1", "row x: 0:0 1:0", "bad row line: 'row x: 0:0 1:0'"),
+        ],
+    )
+    def test_malformed_table_line(self, capsys, tmp_path, head, body, message):
+        bad = tmp_path / "bad.eqd"
+        bad.write_text(f"EQUIDIV 1\n{head}\n{body}\n")
+        code, out, err = run(capsys, "quotient", "--in", str(bad))
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestDivide:
     def test_by_label(self, capsys, xor_file):
@@ -408,6 +428,11 @@ class TestGallery:
             capsys, "gallery", "thm4", "(x,y)", "--labels", "x y z", "--window", "3"
         )
         assert code == 0 and out.splitlines()[0] == "row x: Kx Ky Kz"
+
+    def test_thm4_rejects_repeated_labels(self, capsys):
+        code, out, err = run(capsys, "gallery", "thm4", "(a,b)", "--labels", "a a b")
+        assert code == 3 and out == ""
+        assert err == "error: duplicate labels in universe\n"
 
     @pytest.mark.parametrize("window", ["0", "-2"])
     def test_thm4_rejects_empty_window(self, capsys, window):

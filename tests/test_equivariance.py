@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import equidiv.equivariance as equivariance
@@ -214,6 +214,27 @@ def table_matching(orbits, n_a, n_b, budget):
     return chosen[:] if backtrack() else None
 
 
+def greedy_table_matching(orbits, n_a, n_b, budget):
+    """The same orbit table, covered in one pass that never undoes a choice:
+    the first uncovered row takes the first of its matchable orbits whose
+    cells are all free, one budget tick per orbit taken, or None if it has
+    none.  The tick count the solver must charge when no matching exists."""
+    by_row = [[o for o in orbits if o.matchable and any(r == a for r, _ in o.cells)]
+              for a in range(n_a)]
+    row_free, col_free, chosen = [True] * n_a, [True] * n_b, []
+    while True in row_free:
+        for o in by_row[row_free.index(True)]:
+            if all(row_free[r] and col_free[c] for r, c in o.cells):
+                break
+        else:
+            return None
+        budget.tick()
+        for r, c in o.cells:
+            row_free[r] = col_free[c] = False
+        chosen.append(o)
+    return chosen
+
+
 def matching_to_perm(chosen, n_a):
     """The quotient whose graph is the union of the chosen orbits, by definition."""
     images = [-1] * n_a
@@ -244,6 +265,31 @@ def matching_cases(draw):
     return f, PermGroup(n_c, draw(st.lists(perms_of(n_c), min_size=1, max_size=2)))
 
 
+#: alpha fixes rows 0 and 1 and swaps 2 and 3; beta fixes every column.  The
+#: rows 2 and 3 have no column with their stabilizer, so no h exists, but the
+#: reference takes 16 orbits, placing rows 0 and 1 every way, before it gives up.
+UNDOING_CASE = ([(Perm((0, 1, 3, 2)), Perm.identity(4))], 4, 4)
+
+
+def tau_table(n_a):
+    """f(a, 0) = (a, 0) and f(a, 1) = (rho(a), 1), where rho fixes 0 and 1 and
+    cycles the other points in runs of distinct lengths 5, 6, ..., the last
+    run taking the rest; the first, second and fourth point m of each run
+    trade their images (m, 0) and (m, 1).  Its only symmetry besides the
+    identity is (tau, tau, id), tau = (0 1), under any Gamma.  nA >= 7."""
+    rho, marks, start, length = list(range(n_a)), set(), 2, 5
+    while start < n_a:
+        if n_a - start < 2 * length + 1:
+            length = n_a - start
+        for x in range(start, start + length):
+            rho[x] = x + 1 if x + 1 < start + length else start
+        marks |= {start, start + 1, start + 3}
+        start, length = start + length, length + 1
+    row_0 = [a + n_a * (a in marks) for a in range(n_a)]
+    row_1 = [b + n_a * (b not in marks) for b in rho]
+    return ProdBij.from_flat(row_0 + row_1, n_a, 2)
+
+
 class TestMatching:
     @settings(max_examples=200, deadline=None)
     @given(matching_cases())
@@ -258,7 +304,63 @@ class TestMatching:
         assert (got is None) == (want is None)
         if want is not None:
             assert Perm(tuple(got)) == matching_to_perm(want, f.n_a)
-        assert got_budget.used == want_budget.used
+            assert got_budget.used == want_budget.used
+        else:
+            # the reference may undo choices before it gives up; the solver never does
+            greedy_budget = Budget()
+            assert greedy_table_matching(
+                pair_orbits(pairs, f.n_a, f.n_b), f.n_a, f.n_b, greedy_budget
+            ) is None
+            assert got_budget.used == greedy_budget.used <= want_budget.used
+
+    @given(pair_lists())
+    @example(UNDOING_CASE)
+    def test_matches_the_reference_for_any_group(self, case):
+        """Any pairs, not only a stabilizer's generators, and A and B may differ
+        in size: the same verdict and h as the exhaustive reference."""
+        pairs, n_a, n_b = case
+        want = table_matching(pair_orbits(pairs, n_a, n_b), n_a, n_b, Budget())
+        moves = [(alpha.images, beta.images) for alpha, beta in pairs]
+        got = _orbit_union_matching(moves, n_a, n_b, Budget())
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == [b for _, b in sorted(cell for o in want for cell in o.cells)]
+
+    def test_reference_undoes_choices_on_the_example(self):
+        pairs, n_a, n_b = UNDOING_CASE
+        orbits = pair_orbits(pairs, n_a, n_b)
+        want_budget, greedy_budget = Budget(), Budget()
+        assert table_matching(orbits, n_a, n_b, want_budget) is None
+        assert greedy_table_matching(orbits, n_a, n_b, greedy_budget) is None
+        assert (greedy_budget.used, want_budget.used) == (2, 16)
+
+    def test_unbalanced_klein_class_gives_up_at_once(self):
+        """G = <x, y> = Z2^2.  A is k fixed points, the regular orbit and 2
+        fixed points; B is k fixed points, G/<x>, G/<y> and G/<xy>.  The
+        fixed points have k + 2 rows for k columns, so no h exists; the pass
+        pairs the first k fixed rows, then finds no column for the regular
+        orbit.  Undoing choices would retry every pairing of those rows."""
+        k = 9
+        n = k + 6
+        # A's regular orbit e, x, y, xy and B's cosets, two points each, start at k
+        alpha_x = Perm.from_cycles([(k, k + 1), (k + 2, k + 3)], n)
+        alpha_y = Perm.from_cycles([(k, k + 2), (k + 1, k + 3)], n)
+        beta_x = Perm.from_cycles([(k + 2, k + 3), (k + 4, k + 5)], n)
+        beta_y = Perm.from_cycles([(k, k + 1), (k + 4, k + 5)], n)
+        moves = [(alpha_x.images, beta_x.images), (alpha_y.images, beta_y.images)]
+        budget = Budget(100)
+        assert _orbit_union_matching(moves, n, n, budget) is None
+        assert budget.used == k
+
+    def test_long_chain_of_fixed_rows_decides(self):
+        """One symmetry (tau, tau, id) besides the identity at nA 1,100: the
+        pass covers 1,099 orbits without a Python frame for each."""
+        f = tau_table(1100)
+        syms = stabilizer(f, PermGroup.symmetric(2))
+        tau = Perm.from_cycles([(0, 1)], 1100)
+        assert list(syms.generators) == [SymTriple(tau, tau, Perm.identity(2))]
+        cert = equivariant_quotient(f, PermGroup.symmetric(2))
+        assert cert.verdict == "exists" and cert.quotient == Perm.identity(1100)
 
     @settings(max_examples=100, deadline=None)
     @given(matching_cases())
