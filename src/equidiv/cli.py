@@ -20,7 +20,6 @@ from .perm import PermGroup, parse_cycles, point_labels
 # process loads only the modules its command needs.
 
 EXIT_NOT_EXISTS = 1
-EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
 

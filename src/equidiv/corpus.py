@@ -20,6 +20,7 @@ from .equivariance import (
     equivariant_quotient,
     is_symmetry,
     nonexistence_from_symmetries,
+    parse_symmetries,
 )
 from .gallery import (
     CayleyTable,
@@ -51,16 +52,6 @@ def two_row_nonparallel() -> ProdBij:
     return ProdBij.from_flat((0, 2, 3, 1), 2, 2)  # the rows above as c'*nA + b per cell
 
 
-def _triple(a_cycles: str, b_cycles: str, c_cycles: str, n_a: int, n_c: int) -> SymTriple:
-    digits_a = [str(i) for i in range(n_a)]
-    digits_c = [str(i) for i in range(n_c)]
-    return SymTriple(
-        parse_cycles(a_cycles, digits_a),
-        parse_cycles(b_cycles, digits_a),
-        parse_cycles(c_cycles, digits_c),
-    )
-
-
 # -- items --------------------------------------------------------------------
 
 
@@ -88,7 +79,7 @@ def check_3x3_cyclic() -> None:
     f = regular_rep(CayleyTable.cyclic(3))
     rows = [f.row(c) for c in range(3)]
     assert rows == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    t = _triple("()", "(0,1,2)", "(0,1,2)", 3, 3)
+    (t,) = parse_symmetries("alpha ()\nbeta (0,1,2)\ngamma (0,1,2)", "012", "012", "012")
     assert is_symmetry(f, t)
     cert = equivariant_quotient(f, PermGroup.symmetric(3))
     assert cert.verdict == "not-exists" and cert.reason == "half-fixed-witness"
@@ -99,7 +90,7 @@ def check_klein_table() -> None:
     rows = [f.row(c) for c in range(4)]
     assert rows == [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
     for b_c in ("(0,1)(2,3)", "(0,2)(1,3)"):
-        t = _triple("()", b_c, b_c, 4, 4)
+        (t,) = parse_symmetries(f"alpha ()\nbeta {b_c}\ngamma {b_c}", "0123", "0123", "0123")
         assert is_symmetry(f, t)
     klein_gamma = PermGroup(
         4, (Perm.from_cycles([(0, 1), (2, 3)], 4), Perm.from_cycles([(0, 2), (1, 3)], 4))

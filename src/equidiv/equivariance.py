@@ -255,8 +255,9 @@ def _refine(f: ProdBij) -> list[int]:
     """
     n_a, g0, n = f.n_a, 2 * f.n_a, 2 * f.n_a + f.n_c
     cells = [(s % n_a, g0 + s // n_a, n_a + t % n_a, g0 + t // n_a) for s, t in enumerate(f.fwd)]
-    pairs = [(a * n + c2, b * n + c, c * n + c2) for a, c, b, c2 in cells]
-    shared = [0] * (n * n)
+    # a pair's second point is in C, one of n_c consecutive points, so x * n_c + y is one-to-one
+    pairs = [(a * f.n_c + c2, b * f.n_c + c, c * f.n_c + c2) for a, c, b, c2 in cells]
+    shared = [0] * (n * (f.n_c + 1))
     for x in itertools.chain.from_iterable(pairs):
         shared[x] += 1
     facts = [

@@ -5,11 +5,13 @@ is_symmetry and shares no code with the search, so it can catch a wrong
 search where quotient_exists_bruteforce (which calls stabilizer) cannot.
 """
 
+import collections
 import itertools
 import random
+import tracemalloc
 from math import prod
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equidiv import (
@@ -105,6 +107,74 @@ def test_refined_colours_are_kept_by_every_symmetry(case):
         assert [colour[y] for y in images] == colour
     if len(set(colour)) == len(colour):  # discrete: only the identity is left
         assert want == [SymTriple(Perm.identity(n_a), Perm.identity(n_a), Perm.identity(f.n_c))]
+
+
+def refine_by_definition(f: ProdBij) -> list[int]:
+    """_refine's colouring as its docstring states it, colours numbered by
+    first appearance among the points.
+
+    The cells (a, c, b, c') are points of A, C, B and C; the pairs (a, c'),
+    (b, c) and (c, c') are counted as point tuples, with no index arithmetic.
+    """
+    n_a, n_c = f.n_a, f.n_c
+    g0 = 2 * n_a
+    cells = []
+    for c, a in itertools.product(range(n_c), range(n_a)):
+        c2, b = divmod(f.fwd[c * n_a + a], n_a)  # f(a, c) = (b, c2)
+        cells.append((a, g0 + c, n_a + b, g0 + c2))
+    shared = collections.Counter()
+    for a, c, b, c2 in cells:
+        shared.update([(a, c2), (b, c), (c, c2)])
+    colour = [0] * n_a + [1] * n_a + [2] * n_c
+    count = len(set(colour))
+    while True:
+        held = [[] for _ in colour]
+        for a, c, b, c2 in cells:
+            facts = (c == c2, shared[a, c2], shared[b, c], shared[c, c2])
+            sig = (colour[a], colour[c], colour[b], colour[c2], facts)
+            for place, point in enumerate((a, c, b, c2)):
+                held[point].append((place, sig))
+        multisets = [collections.Counter(h) for h in held]
+        firsts: list[collections.Counter] = []
+        colour = []
+        for m in multisets:
+            if m not in firsts:
+                firsts.append(m)
+            colour.append(firsts.index(m))
+        if len(firsts) == count:
+            return colour
+        count = len(firsts)
+
+
+@st.composite
+def refine_tables(draw):
+    """Random and parallel tables at nA <= 6, nC <= 5, A possibly empty."""
+    n_a = draw(st.integers(0, 6))
+    n_c = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return ProdBij.from_flat(draw(st.permutations(range(n_a * n_c))), n_a, n_c)
+    rows = draw(st.lists(st.permutations(range(n_a)), min_size=n_c, max_size=n_c))
+    return ProdBij.parallel_from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(refine_tables())
+@example(ProdBij.from_flat((4, 0, 7, 2, 8, 1, 6, 3, 5), 1, 9))  # |C| > |A|
+def test_refine_matches_its_definition(f):
+    assert _refine(f) == refine_by_definition(f)
+
+
+def test_refine_memory_is_linear_in_points_times_c():
+    """The pair counts take N * (|C| + 1) slots, not N^2: at N = 3002 the
+    latter alone is 72 MB."""
+    f = random_bij(random.Random(1), 1500, 2)
+    tracemalloc.start()
+    try:
+        _refine(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def _nodes(f: ProdBij, group: PermGroup) -> tuple[int, int]:
