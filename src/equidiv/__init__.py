@@ -9,8 +9,7 @@ import importlib
 
 #: Exported names, by the submodule that defines them.
 _EXPORTS = {
-    "bijection": "BijFile PartialMap ProdBij SubtractResult parse_bijection "
-    "serialize_bijection",
+    "bijection": "BijFile ProdBij parse_bijection serialize_bijection",
     "bruteforce": "all_equivariant_quotients quotient_exists_bruteforce",
     "division": "fp_divide parallelize",
     "equivariance": "Budget Certificate Orbit apply_pair equivariant_quotient "

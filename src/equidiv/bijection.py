@@ -48,10 +48,12 @@ class ProdBij:
 
     @classmethod
     def from_flat(cls, flat: Iterable[int], n_a: int, n_c: int) -> "ProdBij":
-        """The table whose ``fwd`` is ``flat``, a permutation of 0..nA*nC-1."""
+        """The table whose ``fwd`` is ``flat``, a permutation of 0..nA*nC-1; C is non-empty."""
         fwd = tuple(flat)
         if n_a < 0 or n_c < 0:
             raise ValueError("negative size")
+        if n_c == 0:
+            raise ValueError("nC must be >= 1: C must be non-empty")
         if len(fwd) != n_a * n_c:
             raise ValueError("table shape does not match sizes")
         if fwd and not 0 <= min(fwd) <= max(fwd) < len(fwd):
@@ -102,15 +104,21 @@ class ProdBij:
             out[a_cells[s]] = b_cells[t]
         return self.from_flat(out, n_a, self.n_c)
 
-    def subtract(self, j: "PartialMap") -> "SubtractResult":
-        """Remove the partial bijection j x id_C, chaining through removed cells.
+    def subtract(
+        self, pairs: Sequence[tuple[int, int]]
+    ) -> tuple["ProdBij", tuple[int, ...], tuple[int, ...]]:
+        """Remove j x id_C, j the partial bijection with these (a, b) pairs,
+        chaining through removed cells: ``(bij, a_kept, b_kept)``, the table on
+        the survivors and the old index of each new index of A and of B.
 
         For each surviving start s, iterate t = f(s); while t lands in
         removed-B territory, jump back through j^-1 and apply f again.  The
         chain always escapes: each pass consumes a fresh removed cell.
         """
-        x_set = {a for a, _ in j.pairs}
-        j_inv = {b: a for a, b in j.pairs}
+        x_set = {a for a, _ in pairs}
+        j_inv = {b: a for a, b in pairs}
+        if not len(x_set) == len(j_inv) == len(pairs):
+            raise ValueError("partial map is not injective")
         if not x_set <= set(range(self.n_a)) or not j_inv.keys() <= set(range(self.n_a)):
             raise ValueError("partial map outside index range")
         a_kept = tuple(a for a in range(self.n_a) if a not in x_set)
@@ -124,31 +132,7 @@ class ProdBij:
                 while b in j_inv:
                     c2, b = divmod(fwd[c2 * n_a + j_inv[b]], n_a)
                 flat.append(c2 * n_new + b_new[b])
-        sub = self.from_flat(flat, n_new, self.n_c)
-        return SubtractResult(sub, a_kept, b_kept)
-
-
-@dataclass(frozen=True)
-class PartialMap:
-    """A partial bijection A -> B as (a, b) pairs, injective both ways."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        a_side = [a for a, _ in self.pairs]
-        b_side = [b for _, b in self.pairs]
-        if len(set(a_side)) != len(a_side) or len(set(b_side)) != len(b_side):
-            raise ValueError("partial map is not injective")
-
-
-@dataclass(frozen=True)
-class SubtractResult:
-    """Subtraction output plus the old indices kept (new index -> old index)."""
-
-    bij: ProdBij
-    a_old: tuple[int, ...]
-    b_old: tuple[int, ...]
+        return self.from_flat(flat, n_new, self.n_c), a_kept, b_kept
 
 
 # -- EQUIDIV file format ------------------------------------------------------

@@ -96,7 +96,5 @@ def parallelize(f: ProdBij) -> ProdBij:
     checked as it becomes a ``Perm``, and the table once, by ``from_flat``.
     """
     n, n_c = f.n_a, f.n_c
-    if n_c == 0:
-        raise ValueError("parallelize needs a nonempty C (nC >= 1)")
     flat = [c * n + b for c in range(n_c) for b in fp_divide(f, c).images]
     return ProdBij.from_flat(flat, n, n_c)

@@ -22,7 +22,8 @@ half-fixed witness is found by comparing slices of the elements, and the
 matching and the soundness re-check use the generators alone.  The matching
 computes each orbit on A x B when its pass first reaches one of its cells,
 and returns the images of h.  A certificate is written from the elements.
-:func:`pair_orbits` is the whole table, for tests and tracing.
+:func:`pair_orbits` is the whole table, for tests and tracing, and the only
+code that makes :class:`Orbit` records.
 """
 
 from __future__ import annotations
@@ -346,8 +347,6 @@ def stabilizer(
     """
     if group.degree != f.n_c:
         raise ValueError("group degree must equal nC")
-    if f.n_c == 0:
-        raise ValueError("nC must be >= 1: C must be non-empty")
     budget = budget or Budget()
     levels, gens = _symmetry_chain(f, group, budget)
     budget.tick(prod(len(reps) for reps in levels))
@@ -367,10 +366,11 @@ def stabilizer(
 
 def _orbit(
     cell: tuple[int, int], moves: Sequence[tuple[Sequence[int], ...]], orbit_of: dict
-) -> Orbit:
+) -> tuple[list[tuple[int, int]], bool]:
     """The orbit of an A x B cell under the group the (alpha, beta) image
-    pairs generate, computed once and then kept in orbit_of for each of its
-    cells.  The group is finite, so forward moves reach the whole orbit."""
+    pairs generate, as ``(cells, matchable)`` with the cells in the order
+    found, computed once and then kept in orbit_of for each of its cells.
+    The group is finite, so forward moves reach the whole orbit."""
     o = orbit_of.get(cell)
     if o is None:
         cells, seen = [cell], {cell}
@@ -381,7 +381,7 @@ def _orbit(
                     seen.add(nxt)
                     cells.append(nxt)
         rows, cols = {a for a, _ in cells}, {b for _, b in cells}
-        o = Orbit(tuple(sorted(cells)), len(rows) == len(cols) == len(cells))
+        o = cells, len(rows) == len(cols) == len(cells)
         orbit_of.update(dict.fromkeys(cells, o))
     return o
 
@@ -395,9 +395,10 @@ def pair_orbits(
     moves = [(alpha.images, beta.images) for alpha, beta in pairs]
     if not moves:
         raise ValueError("need at least one pair (identity pair allowed)")
-    orbit_of: dict[tuple[int, int], Orbit] = {}
+    orbit_of: dict[tuple[int, int], tuple] = {}
     grid = itertools.product(range(n_a), range(n_b))
-    return [_orbit(cell, moves, orbit_of) for cell in grid if cell not in orbit_of]
+    found = (_orbit(cell, moves, orbit_of) for cell in grid if cell not in orbit_of)
+    return [Orbit(tuple(sorted(cells)), matchable) for cells, matchable in found]
 
 
 def _orbit_union_matching(
@@ -419,19 +420,21 @@ def _orbit_union_matching(
     orbit taken, and the images are the canonical matching: the first in
     lexicographic order of orbits.
     """
-    orbit_of: dict[tuple[int, int], Orbit] = {}
+    orbit_of: dict[tuple[int, int], tuple] = {}
     images = [-1] * n_a
     col_free = [True] * n_b
     for a in range(n_a):
         if images[a] >= 0:
             continue
         for b in range(n_b):
-            if col_free[b] and (o := _orbit((a, b), moves, orbit_of)).matchable:
-                break
+            if col_free[b]:
+                cells, matchable = _orbit((a, b), moves, orbit_of)
+                if matchable:
+                    break
         else:
             return None
         budget.tick()
-        for r, c in o.cells:
+        for r, c in cells:
             images[r], col_free[c] = c, False
     return images
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from equidiv import (
     BijFile,
     FormatError,
-    PartialMap,
     Perm,
     ProdBij,
     parse_bijection,
@@ -32,7 +31,7 @@ def bijections(draw):
 @st.composite
 def nested_tables(draw):
     """(nA, nC, rows) with rows[c][a] = (b, c'), drawn without ProdBij; some parallel."""
-    n_a, n_c = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    n_a, n_c = draw(st.integers(0, 4)), draw(st.integers(1, 3))
     if draw(st.booleans()):
         cells = draw(st.permutations([(b, c2) for c2 in range(n_c) for b in range(n_a)]))
         return n_a, n_c, [cells[c * n_a:(c + 1) * n_a] for c in range(n_c)]
@@ -240,6 +239,15 @@ class TestProdBij:
             ProdBij.from_flat(flat, n_a, n_c)
         assert str(exc.value) == "negative size"
 
+    def test_empty_c_rejected(self):
+        # C is non-empty in every table, so every table serializes to a file
+        # that parse_bijection reads
+        empty = r"^nC must be >= 1: C must be non-empty$"
+        with pytest.raises(ValueError, match=empty):
+            ProdBij.from_flat([], 2, 0)
+        with pytest.raises(ValueError, match=empty):
+            ProdBij.parallel_from_rows([])
+
     def test_parallel_rows_must_be_permutations(self):
         # flat 0 2 3 1 is a permutation, but b = 2 and b = -1 are not in A
         with pytest.raises(ValueError):
@@ -303,17 +311,17 @@ class TestProdBij:
 class TestSubtract:
     def test_parallel_example(self):
         f = ProdBij.parallel_from_rows([(0, 1, 2), (1, 2, 0)])
-        res = f.subtract(PartialMap(((0, 0),)))
-        assert res.a_old == (1, 2) and res.b_old == (1, 2)
-        assert res.bij.row(0) == (0, 1)
+        sub, a_kept, b_kept = f.subtract(((0, 0),))
+        assert a_kept == (1, 2) and b_kept == (1, 2)
+        assert sub.row(0) == (0, 1)
 
     def test_escape_chain(self):
         # f(a, c) = (a xor c, c); removing 0 -> 0 reroutes through row 1
         f = ProdBij.parallel_from_rows([(0, 1), (1, 0)])
-        res = f.subtract(PartialMap(((0, 0),)))
-        assert res.bij.n_a == 1
+        sub, _, _ = f.subtract(((0, 0),))
+        assert sub.n_a == 1
         # survivor must still be a bijection onto (B - {0}) x C
-        outs = {cell(res.bij, 0, c) for c in range(2)}
+        outs = {cell(sub, 0, c) for c in range(2)}
         assert outs == {(0, 0), (0, 1)}
 
     def test_covers_exactly(self):
@@ -323,10 +331,10 @@ class TestSubtract:
             k = rng.randrange(4)
             a_rm = rng.sample(range(4), k)
             b_rm = rng.sample(range(4), k)
-            res = f.subtract(PartialMap(tuple(zip(a_rm, b_rm))))
-            assert res.bij.n_a == 4 - k
-            assert set(res.a_old) == set(range(4)) - set(a_rm)
-            assert set(res.b_old) == set(range(4)) - set(b_rm)
+            sub, a_kept, b_kept = f.subtract(tuple(zip(a_rm, b_rm)))
+            assert sub.n_a == 4 - k
+            assert set(a_kept) == set(range(4)) - set(a_rm)
+            assert set(b_kept) == set(range(4)) - set(b_rm)
 
     @given(st.data())
     def test_subtraction_composes(self, data):
@@ -338,21 +346,22 @@ class TestSubtract:
         k2 = data.draw(st.integers(0, f.n_a - k1))
         j1 = tuple(zip(a_side[:k1], b_side[:k1]))
         j2 = tuple(zip(a_side[k1:k1 + k2], b_side[k1:k1 + k2]))
-        first = f.subtract(PartialMap(j1))
-        j2_new = tuple((first.a_old.index(a), first.b_old.index(b)) for a, b in j2)
-        second = first.bij.subtract(PartialMap(j2_new))
-        both = f.subtract(PartialMap(j1 + j2))
-        assert second.bij == both.bij
-        assert tuple(first.a_old[i] for i in second.a_old) == both.a_old
-        assert tuple(first.b_old[i] for i in second.b_old) == both.b_old
+        first, a1, b1 = f.subtract(j1)
+        second, a2, b2 = first.subtract(tuple((a1.index(a), b1.index(b)) for a, b in j2))
+        both, a12, b12 = f.subtract(j1 + j2)
+        assert second == both
+        assert tuple(a1[i] for i in a2) == a12
+        assert tuple(b1[i] for i in b2) == b12
 
     def test_rejects_noninjective(self):
-        with pytest.raises(ValueError):
-            PartialMap(((0, 0), (1, 0)))
+        # a repeated b, a repeated a, and one pair listed twice
+        for pairs in ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 0)):
+            with pytest.raises(ValueError, match="^partial map is not injective$"):
+                identity_table(2, 1).subtract(pairs)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            identity_table(2, 1).subtract(PartialMap(((5, 0),)))
+        with pytest.raises(ValueError, match="^partial map outside index range$"):
+            identity_table(2, 1).subtract(((5, 0),))
 
 
 class TestFileFormat:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equidiv import (
-    PartialMap,
     Perm,
     PermGroup,
     ProdBij,
@@ -65,10 +64,9 @@ def _fp_divide_reference(
             core_sizes.append(len(core))
         for x in core:
             images[cur_a[x]] = cur_b[p[x]]
-        res = cur.subtract(PartialMap(tuple((x, p[x]) for x in core)))
-        cur_a = [cur_a[i] for i in res.a_old]
-        cur_b = [cur_b[i] for i in res.b_old]
-        cur = res.bij
+        cur, a_kept, b_kept = cur.subtract(tuple((x, p[x]) for x in core))
+        cur_a = [cur_a[i] for i in a_kept]
+        cur_b = [cur_b[i] for i in b_kept]
     return Perm(tuple(images))
 
 

@@ -388,6 +388,22 @@ class TestHalfFixed:
         assert halffixed_witness([both, neither]) is None
 
 
+@st.composite
+def subgroup_cases(draw):
+    """A table with nA 0-4 and nC 1-4, random, parallel or the identity, and
+    the group Gamma <= S_C that one or two random permutations generate."""
+    n_a, n_c = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "parallel", "identity"]))
+    if kind == "random":
+        f = ProdBij.from_flat(draw(st.permutations(range(n_a * n_c))), n_a, n_c)
+    elif kind == "parallel":
+        f = ProdBij.parallel_from_rows([draw(st.permutations(range(n_a))) for _ in range(n_c)])
+    else:
+        f = identity_table(n_a, n_c)
+    gens = draw(st.lists(st.permutations(range(n_c)), min_size=1, max_size=2))
+    return f, PermGroup(n_c, [Perm(tuple(g)) for g in gens])
+
+
 class TestQuotientDecision:
     def test_trivial_group_always_exists(self):
         rng = random.Random(5)
@@ -440,6 +456,23 @@ class TestQuotientDecision:
                 assert cert.quotient in allq
             else:
                 assert not allq
+
+    @settings(max_examples=500, deadline=None)
+    @given(subgroup_cases())
+    def test_agrees_with_bruteforce_on_generated_subgroups(self, case):
+        # the oracle calls the same stabilizer, so this checks the decision
+        # made from it, under groups other than full and trivial
+        f, group = case
+        cert = equivariant_quotient(f, group)
+        allq = all_equivariant_quotients(f, group)
+        if cert.verdict == "exists":
+            assert cert.quotient == allq[0]  # the canonical matching is the least quotient
+        else:
+            assert not allq
+        if cert.reason == "half-fixed-witness":
+            w = cert.witness
+            assert w.gamma in group.elements() and is_symmetry(f, w)
+            assert w.alpha.is_identity() != w.beta.is_identity()
 
     def test_deterministic(self):
         rng = random.Random(9)
