@@ -135,6 +135,7 @@ def _symmetry_chain(
     coset representative is sought per candidate image that the generators
     found so far do not already reach.  A level's transversal maps each
     point of its basic orbit to an element taking the base point there.
+    Every descent, the identity path's too, is one loop over an explicit stack.
     """
     n_a, n_c = f.n_a, f.n_c
     g0 = 2 * n_a
@@ -198,32 +199,31 @@ def _symmetry_chain(
             pool = range(n_a) if p < n_a else range(g0, n)
         return [y for y in pool if pre[y] < 0 and label[y] == label[p]]
 
-    def solve(node) -> tuple[int, ...] | None:
-        """The first complete symmetry below node, in search order."""
-        p = pick(node[0])
-        if p is None:
-            return tuple(node[0])
-        for q in candidates(node, p):
-            budget.tick()
-            child = extend(node, p, q)
-            if child is not None:
-                found = solve(child)
-                if found is not None:
-                    return found
-        return None
+    def descend(node, untried: Callable):
+        """The first complete symmetry below node, in search order, with the
+        stack of ``(node, point, untried images)`` that reached it, or None.
+        ``untried(node, p)`` lists the images to try, at one tick each, for
+        the point p picked at node; a point with none left is popped."""
+        stack = []
+        while (p := pick(node[0])) is not None:
+            stack.append((node, p, iter(untried(node, p))))
+            node = None
+            while node is None and stack:
+                top, p, images = stack[-1]
+                if (q := next(images, None)) is None:
+                    stack.pop()
+                else:
+                    budget.tick()
+                    node = extend(top, p, q)
+            if node is None:
+                return None
+        return tuple(node[0]), stack
 
-    base: list[int] = []
-    path = []
-    node = ([-1] * n, [-1] * n, allowed)
-    while (p := pick(node[0])) is not None:
-        budget.tick()
-        base.append(p)
-        path.append(node)
-        node = extend(node, p, p)  # the identity is always a symmetry
-
+    # the identity is always a symmetry: its path gives the base and each level's node
+    path = descend(([-1] * n, [-1] * n, allowed), lambda node, p: (p,))[1]
     gens: list[tuple[int, ...]] = []
     levels = []
-    for p, node in zip(reversed(base), reversed(path)):
+    for node, p, _ in reversed(path):
         reps = _transversal(p, gens, n)
         dead: set[int] = set()
         for q in candidates(node, p):
@@ -231,13 +231,13 @@ def _symmetry_chain(
                 continue
             budget.tick()
             child = extend(node, p, q)
-            g = None if child is None else solve(child)
-            if g is None:
+            found = None if child is None else descend(child, candidates)
+            if found is None:
                 # the generators lie in this level's group, whose orbit of p
                 # is a union of their orbits: none of q's orbit is reachable
                 dead.update(_transversal(q, gens, n))
             else:
-                gens.append(g)
+                gens.append(found[0])
                 reps = _transversal(p, gens, n)
         levels.append(reps)
     return levels, gens

@@ -100,6 +100,10 @@ class TestImportsOnDemand:
         assert package_modules(loaded) == SHARED | {"equidiv.equivariance", "equidiv.search"}
         assert not loaded & HEAVY
 
+    def test_oracle_loads_no_solver(self, tmp_path):
+        loaded = package_modules(modules_after("import equidiv.bruteforce", tmp_path))
+        assert "equidiv.equivariance" not in loaded
+
     @pytest.mark.parametrize(
         "args,extra",
         [

@@ -1,13 +1,16 @@
 """The stabilizer search against plain enumeration, and its pinned node counts.
 
 The oracle here walks every (alpha, beta, gamma) in S_A x S_B x Gamma through
-is_symmetry and shares no code with the search, so it can catch a wrong
-search where quotient_exists_bruteforce (which calls stabilizer) cannot.
+is_symmetry and shares no code with the search.  quotient_exists_bruteforce
+shares none either, but it checks only the decision; this oracle checks the
+symmetries themselves.
 """
 
 import collections
+import inspect
 import itertools
 import random
+import sys
 import tracemalloc
 from math import prod
 
@@ -251,3 +254,40 @@ def test_pinned_gens_decision_counts():
         gen = parse_cycles(sigma, labels)
         got[sigma] = _decision(checkered_product(gen, labels).bij, PermGroup(len(labels), (gen,)))
     assert got == GENS_DECISIONS
+
+
+def necklace_table(k: int, s: int) -> ProdBij:
+    """f(a, 0) = (a, m(a)) and f(a, 1) = (rho(a), 1 - m(rho(a))), nA = 2 + k * s.
+
+    rho fixes 0 and 1 and turns the other points in k blocks of s.  m is 0 on
+    0 and 1, and on block j it is the j-th aperiodic binary word of length s
+    in counting order, skipping rotations of earlier words.  The one
+    non-identity symmetry is (tau, tau, id), tau = (0 1), and the search
+    descends through one base point per block to find it.
+    """
+    words: list[int] = []
+    for w in range(2**s):
+        turns = {(w << r | w >> (s - r)) & (2**s - 1) for r in range(1, s)}
+        if w not in turns and not turns.intersection(words):
+            words.append(w)
+    n = 2 + k * s
+    rho, m = list(range(n)), [0] * n
+    for j, x in itertools.product(range(k), range(s)):
+        a = 2 + j * s + x
+        rho[a], m[a] = a + 1 if x < s - 1 else a + 1 - s, words[j] >> (s - 1 - x) & 1
+    rows = [[m[a] * n + a for a in range(n)], [(1 - m[b]) * n + b for b in rho]]
+    return ProdBij.from_flat(rows[0] + rows[1], n, 2)
+
+
+def test_deep_search_needs_no_stack():
+    """The descent keeps its own stack, so a search that descends past 64
+    base points decides with the recursion limit 40 frames above the caller."""
+    f = necklace_table(60, 10)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        cert = equivariant_quotient(f, PermGroup.symmetric(2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.verdict == "exists"
+    assert len(cert.verified_against) == 2
