@@ -134,7 +134,8 @@ def _symmetry_chain(
     identity path.  Levels are searched from the deepest up; at each, one
     coset representative is sought per candidate image that the generators
     found so far do not already reach.  A level's transversal maps each
-    point of its basic orbit to an element taking the base point there.
+    point of its basic orbit to an element taking the base point there; a
+    level whose orbit is its base point alone is left out.
     Every descent, the identity path's too, is one loop over an explicit stack.
     """
     n_a, n_c = f.n_a, f.n_c
@@ -148,6 +149,9 @@ def _symmetry_chain(
     fwd = [[(n_a + t % n_a, g0 + t // n_a) for t in f.fwd[r:r + n_a]] for r in starts]
     bwd = [[(s % n_a, g0 + s // n_a) for s in f.inv[r:r + n_a]] for r in starts]
     allowed = None if group.is_symmetric() else [g.images for g in group.elements()]
+    members: list[list[int]] = [[] for _ in range(max(label) + 1)]  # each ascending, in one part
+    for x, k in enumerate(label):
+        members[k].append(x)
 
     def extend(node, p: int, q: int):
         """A copy of node with p -> q and all it forces, or None on a contradiction."""
@@ -193,11 +197,8 @@ def _symmetry_chain(
 
     def candidates(node, p: int) -> list[int]:
         pre, els = node[1], node[2]
-        if p >= g0 and els is not None:
-            pool = sorted({g0 + g[p - g0] for g in els})
-        else:
-            pool = range(n_a) if p < n_a else range(g0, n)
-        return [y for y in pool if pre[y] < 0 and label[y] == label[p]]
+        ok = range(n) if p < g0 or els is None else {g0 + g[p - g0] for g in els}
+        return [y for y in members[label[p]] if pre[y] < 0 and y in ok]
 
     def descend(node, untried: Callable):
         """The first complete symmetry below node, in search order, with the
@@ -221,10 +222,12 @@ def _symmetry_chain(
 
     # the identity is always a symmetry: its path gives the base and each level's node
     path = descend(([-1] * n, [-1] * n, allowed), lambda node, p: (p,))[1]
+    ident = tuple(range(n))
     gens: list[tuple[int, ...]] = []
     levels = []
-    for node, p, _ in reversed(path):
-        reps = _transversal(p, gens, n)
+    while path:  # from the deepest level up, dropping each node once its level is done
+        node, p, _ = path.pop()
+        reps = _transversal(p, gens, ident)
         dead: set[int] = set()
         for q in candidates(node, p):
             if q in reps or q in dead:
@@ -235,11 +238,12 @@ def _symmetry_chain(
             if found is None:
                 # the generators lie in this level's group, whose orbit of p
                 # is a union of their orbits: none of q's orbit is reachable
-                dead.update(_transversal(q, gens, n))
+                dead.update(_transversal(q, gens, ident))
             else:
                 gens.append(found[0])
-                reps = _transversal(p, gens, n)
-        levels.append(reps)
+                reps = _transversal(p, gens, ident)
+        if len(reps) > 1:  # a level that holds only the identity changes nothing
+            levels.append(reps)
     return levels, gens
 
 
@@ -284,10 +288,10 @@ def _refine(f: ProdBij) -> list[int]:
 
 
 def _transversal(
-    p: int, gens: Sequence[tuple[int, ...]], n: int
+    p: int, gens: Sequence[tuple[int, ...]], ident: tuple[int, ...]
 ) -> dict[int, tuple[int, ...]]:
-    """For each point q in the orbit of p, a product of gens taking p to q."""
-    reps = {p: tuple(range(n))}
+    """For each point q in the orbit of p, a product of gens taking p to q, ident for p."""
+    reps = {p: ident}
     stack = [p]
     while stack:
         x = stack.pop()
@@ -354,9 +358,8 @@ def stabilizer(
     pack, then = _element_form(n)
     elements = [pack(range(n))]
     for reps in levels:
-        if len(reps) > 1:  # a level that holds only the identity changes nothing
-            steps = (then(u, elements) for u in reps.values())
-            elements = list(itertools.chain.from_iterable(steps))
+        steps = (then(u, elements) for u in reps.values())
+        elements = list(itertools.chain.from_iterable(steps))
     elements.sort()
     return Symmetries(f.n_a, f.n_c, elements, tuple(map(_splitter(f.n_a, f.n_c), gens)))
 
@@ -423,10 +426,13 @@ def _orbit_union_matching(
     orbit_of: dict[tuple[int, int], tuple] = {}
     images = [-1] * n_a
     col_free = [True] * n_b
+    lo = 0  # every column before lo is taken
     for a in range(n_a):
         if images[a] >= 0:
             continue
-        for b in range(n_b):
+        while lo < n_b and not col_free[lo]:
+            lo += 1
+        for b in range(lo, n_b):
             if col_free[b]:
                 cells, matchable = _orbit((a, b), moves, orbit_of)
                 if matchable:

@@ -45,11 +45,6 @@ class CayleyTable:
     def n(self) -> int:
         return len(self.product)
 
-    @property
-    def identity(self) -> int:
-        p = self.product
-        return next(e for e in range(self.n) if all(p[e][x] == x for x in range(self.n)))
-
     @classmethod
     def cyclic(cls, n: int) -> "CayleyTable":
         return cls(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))

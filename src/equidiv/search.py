@@ -74,12 +74,10 @@ def _scan_chunk(args) -> list[ProbeCounterexample]:
     """The counterexamples among candidates start..stop-1 of the scan ``params``."""
     (n_a, n_c, group, mode, sample, seed, node_limit), start, stop = args
     candidates = itertools.islice(_stream(n_a, n_c, mode, sample, seed), start, stop)
+    decode = ProdBij.parallel_from_rows if mode != "all" else lambda t: ProdBij.from_flat(t, n_a, n_c)
     hits = []
     for index, flat in enumerate(candidates, start):
-        if mode == "all":
-            f = ProdBij.from_flat(flat, n_a, n_c)
-        else:
-            f = ProdBij.parallel_from_rows(flat)
+        f = decode(flat)
         cert = equivariant_quotient(f, group, Budget(node_limit))
         if cert.verdict == "not-exists":
             hits.append(ProbeCounterexample(index, f, cert))

@@ -315,6 +315,7 @@ class TestMatching:
 
     @given(pair_lists())
     @example(UNDOING_CASE)
+    @example(([(Perm.identity(2), Perm.identity(1))], 2, 1))  # every column taken, a row left
     def test_matches_the_reference_for_any_group(self, case):
         """Any pairs, not only a stabilizer's generators, and A and B may differ
         in size: the same verdict and h as the exhaustive reference."""

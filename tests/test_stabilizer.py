@@ -85,6 +85,8 @@ def test_stabilizer_matches_oracle(case):
     assert list(got) == want
     levels, _ = _symmetry_chain(f, group, Budget())
     assert prod(len(reps) for reps in levels) == len(want)
+    # a level that holds only the identity is left out of the chain
+    assert all(len(reps) > 1 for reps in levels)
     # the search branches on A and C points only: they force every B point
     identity = tuple(range(2 * f.n_a + f.n_c))
     for reps in levels:
@@ -291,3 +293,19 @@ def test_deep_search_needs_no_stack():
         sys.setrecursionlimit(limit)
     assert cert.verdict == "exists"
     assert len(cert.verified_against) == 2
+
+
+def test_search_memory_drops_spent_levels():
+    """The necklace table at nA 1802 has one level with more than one
+    representative among 154.  The chain keeps no identity-only level
+    and drops each identity-path node once its level is searched; keeping
+    every level and node to the end would peak at about 38 MB."""
+    f = necklace_table(150, 12)
+    tracemalloc.start()
+    try:
+        cert = equivariant_quotient(f, PermGroup.symmetric(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "exists"
+    assert peak < 20 * 2**20
