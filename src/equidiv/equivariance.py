@@ -144,21 +144,24 @@ def _symmetry_chain(
     label = _refine(f)
     if len(set(label)) == n:  # discrete: the identity is the only symmetry
         return [], []
-    # fwd[c][a] = f(a, c) and bwd[c'][b] = f^-1(b, c') as points, read off the flat index
-    starts = [c * n_a for c in range(n_c)]  # not a range: its step n_a may be 0
-    fwd = [[(n_a + t % n_a, g0 + t // n_a) for t in f.fwd[r:r + n_a]] for r in starts]
-    bwd = [[(s % n_a, g0 + s // n_a) for s in f.inv[r:r + n_a]] for r in starts]
+    # f(a, c) = (b, c') and f^-1(b, c') = (a, c) as points, each at its cell's
+    # flat index: fwd_b and fwd_c at c * nA + a, bwd_a and bwd_c at c' * nA + b
+    fwd_b, fwd_c = [n_a + t % n_a for t in f.fwd], [g0 + t // n_a for t in f.fwd]
+    bwd_a, bwd_c = [s % n_a for s in f.inv], [g0 + s // n_a for s in f.inv]
     allowed = None if group.is_symmetric() else [g.images for g in group.elements()]
     members: list[list[int]] = [[] for _ in range(max(label) + 1)]  # each ascending, in one part
     for x, k in enumerate(label):
         members[k].append(x)
 
     def extend(node, p: int, q: int):
-        """A copy of node with p -> q and all it forces, or None on a contradiction."""
+        """A copy of node with p -> q and all it forces, or None on a contradiction.
+        The queue holds points flat, x then y for x -> y.  img is only ever set
+        here, so a fired pair that img already holds is not queued: its pop would skip it."""
         img, pre, els = node[0][:], node[1][:], node[2]
-        queue = [(p, q)]
+        queue = [p, q]
         while queue:
-            x, y = queue.pop()
+            y = queue.pop()
+            x = queue.pop()
             if img[x] == y:
                 continue
             if img[x] >= 0 or pre[y] >= 0 or label[x] != label[y]:
@@ -166,24 +169,31 @@ def _symmetry_chain(
             img[x] = y
             pre[y] = x
             if x < g0:  # alpha or beta: fire the cells (x, c) of f or f^-1 with gamma(c) known
-                rows, x, y = (fwd, x, y) if x < n_a else (bwd, x - n_a, y - n_a)
+                to, to_c = (fwd_b, fwd_c) if x < n_a else (bwd_a, bwd_c)
+                x, y = x % n_a, y % n_a
                 for c in range(n_c):
                     gc = img[g0 + c]
                     if gc >= 0:
-                        (p1, p2), (q1, q2) = rows[c][x], rows[gc - g0][y]
-                        queue += ((p1, q1), (p2, q2))
+                        i, j = c * n_a + x, (gc - g0) * n_a + y
+                        if img[u := to[i]] != (v := to[j]):
+                            queue += (u, v)
+                        if img[u := to_c[i]] != (v := to_c[j]):
+                            queue += (u, v)
             else:  # gamma(c) = c2: fire both kinds of cell in row c
                 c, c2 = x - g0, y - g0
                 if els is not None:
                     els = [g for g in els if g[c] == c2]
                     if not els:
                         return None
-                for rows, off in ((fwd, 0), (bwd, n_a)):
-                    row, row2 = rows[c], rows[c2]
-                    for a, ya in enumerate(img[off:off + n_a]):
-                        if ya >= 0:
-                            (p1, p2), (q1, q2) = row[a], row2[ya - off]
-                            queue += ((p1, q1), (p2, q2))
+                for to, to_c, off in ((fwd_b, fwd_c, 0), (bwd_a, bwd_c, n_a)):
+                    shift = c2 * n_a - off
+                    for i, yx in enumerate(img[off:off + n_a], c * n_a):
+                        if yx >= 0:
+                            j = yx + shift
+                            if img[u := to[i]] != (v := to[j]):
+                                queue += (u, v)
+                            if img[u := to_c[i]] != (v := to_c[j]):
+                                queue += (u, v)
         return img, pre, els
 
     def pick(img: list[int]) -> int | None:
@@ -197,7 +207,9 @@ def _symmetry_chain(
 
     def candidates(node, p: int) -> list[int]:
         pre, els = node[1], node[2]
-        ok = range(n) if p < g0 or els is None else {g0 + g[p - g0] for g in els}
+        if p < g0 or els is None:
+            return [y for y in members[label[p]] if pre[y] < 0]
+        ok = {g0 + g[p - g0] for g in els}
         return [y for y in members[label[p]] if pre[y] < 0 and y in ok]
 
     def descend(node, untried: Callable):
@@ -236,9 +248,15 @@ def _symmetry_chain(
             child = extend(node, p, q)
             found = None if child is None else descend(child, candidates)
             if found is None:
-                # the generators lie in this level's group, whose orbit of p
-                # is a union of their orbits: none of q's orbit is reachable
-                dead.update(_transversal(q, gens, ident))
+                # the generators lie in this level's group, so none of q's orbit under them
+                # is reachable; walk past points already dead: a newer generator may lead on
+                orbit, stack = {q}, [q]
+                while stack:
+                    x = stack.pop()
+                    new = {g[x] for g in gens} - orbit
+                    orbit |= new
+                    stack += new
+                dead |= orbit
             else:
                 gens.append(found[0])
                 reps = _transversal(p, gens, ident)
@@ -258,18 +276,17 @@ def _refine(f: ProdBij) -> list[int]:
     stops growing.  A symmetry maps cells to cells, place by place, so it
     keeps every colour, whatever Gamma is.
     """
-    n_a, g0, n = f.n_a, 2 * f.n_a, 2 * f.n_a + f.n_c
+    n_a, n_c, g0, n = f.n_a, f.n_c, 2 * f.n_a, 2 * f.n_a + f.n_c
     cells = [(s % n_a, g0 + s // n_a, n_a + t % n_a, g0 + t // n_a) for s, t in enumerate(f.fwd)]
     # a pair's second point is in C, one of n_c consecutive points, so x * n_c + y is one-to-one
-    pairs = [(a * f.n_c + c2, b * f.n_c + c, c * f.n_c + c2) for a, c, b, c2 in cells]
-    shared = [0] * (n * (f.n_c + 1))
-    for x in itertools.chain.from_iterable(pairs):
-        shared[x] += 1
-    facts = [
-        (c == c2, shared[x], shared[y], shared[z])
-        for (_, c, _, c2), (x, y, z) in zip(cells, pairs)
-    ]
-    colour = [0] * n_a + [1] * n_a + [2] * f.n_c
+    shared = [0] * (n * (n_c + 1))
+    for a, c, b, c2 in cells:
+        shared[a * n_c + c2] += 1
+        shared[b * n_c + c] += 1
+        shared[c * n_c + c2] += 1
+    facts = [(c == c2, shared[a * n_c + c2], shared[b * n_c + c], shared[c * n_c + c2])
+             for a, c, b, c2 in cells]
+    colour = [0] * n_a + [1] * n_a + [2] * n_c
     count = len(set(colour))
     while True:
         seen: list[list[int]] = [[] for _ in colour]
@@ -311,13 +328,15 @@ def _element_form(n: int) -> tuple[Callable, Callable]:
     comparing and sorting run in C; equal-length bytes sort as tuples do.
     Above, bytes cannot hold a point, and an element is a tuple.
     """
-    if n > 256:
-        return tuple, lambda u, hs: (tuple(map(u.__getitem__, h)) for h in hs)
+    return (bytes, _then_bytes) if n <= 256 else (tuple, _then_tuples)
 
-    def then(u: Sequence[int], hs: Iterable[bytes]) -> Iterator[bytes]:
-        return map(bytes.translate, hs, itertools.repeat(bytes(u) + bytes(range(len(u), 256))))
 
-    return bytes, then
+def _then_bytes(u: Sequence[int], hs: Iterable[bytes]) -> Iterator[bytes]:
+    return map(bytes.translate, hs, itertools.repeat(bytes(u) + bytes(range(len(u), 256))))
+
+
+def _then_tuples(u: Sequence[int], hs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    return (tuple(map(u.__getitem__, h)) for h in hs)
 
 
 def _splitter(n_a: int, n_c: int) -> Callable[[Sequence[int]], SymTriple]:
@@ -353,7 +372,7 @@ def stabilizer(
         raise ValueError("group degree must equal nC")
     budget = budget or Budget()
     levels, gens = _symmetry_chain(f, group, budget)
-    budget.tick(prod(len(reps) for reps in levels))
+    budget.tick(prod(map(len, levels)))
     n = 2 * f.n_a + f.n_c
     pack, then = _element_form(n)
     elements = [pack(range(n))]
@@ -361,7 +380,8 @@ def stabilizer(
         steps = (then(u, elements) for u in reps.values())
         elements = list(itertools.chain.from_iterable(steps))
     elements.sort()
-    return Symmetries(f.n_a, f.n_c, elements, tuple(map(_splitter(f.n_a, f.n_c), gens)))
+    triples = tuple(map(_splitter(f.n_a, f.n_c), gens)) if gens else ()
+    return Symmetries(f.n_a, f.n_c, elements, triples)
 
 
 # -- orbits and matching ------------------------------------------------------

@@ -7,6 +7,7 @@ symmetries themselves.
 """
 
 import collections
+import hashlib
 import inspect
 import itertools
 import random
@@ -34,7 +35,7 @@ from equidiv import (
 )
 from equidiv.equivariance import _refine, _symmetry_chain
 
-from conftest import identity_table, random_bij
+from conftest import identity_table, random_bij, random_parallel, random_perm
 
 
 def oracle(f: ProdBij, group: PermGroup) -> list[SymTriple]:
@@ -203,6 +204,47 @@ def test_pinned_node_counts():
     # and skips the search, or leaves colours shared and the search runs
     assert _nodes(random_bij(random.Random(25), 2, 5), PermGroup.symmetric(5)) == (1, 1)
     assert _nodes(random_bij(random.Random(5), 2, 5), PermGroup.symmetric(5)) == (7, 1)
+
+
+#: sha256 of the search on the tables of test_search_is_pinned_on_random_tables.
+SEARCH_DIGEST = "d4c06d38db04e573b86698679250051fa76894078c74786ce2935152a00fc0cf"
+
+
+def test_search_is_pinned_on_random_tables():
+    """Budget use, levels and generators of _symmetry_chain on 3,000 seeded
+    tables: random, parallel and identity, at nA 0-6 and nC 1-5, under full,
+    trivial or one random generator.  They do not depend on the machine, so
+    a change to the digest is a change to the search."""
+    # at base point 0's level, candidate 1 fails, then candidate 2 gives the
+    # generator (0 2 4)(1 5 3) on A.  When candidate 3 fails, all of its orbit
+    # {1, 3, 5} is dead, 5 too, though the walk from 3 reaches 5 only through
+    # 1, which was dead before that generator was found
+    f = ProdBij.parallel_from_rows([[3, 4, 1, 2, 5, 0], [0, 1, 2, 3, 4, 5], [1, 2, 5, 0, 3, 4]])
+    budget = Budget()
+    _symmetry_chain(f, PermGroup(3, (Perm.identity(3),)), budget)
+    assert budget.used == 13
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        n_a, n_c = rng.randint(0, 6), rng.randint(1, 5)
+        kind = rng.choice(("random", "parallel", "identity"))
+        if kind == "random":
+            f = random_bij(rng, n_a, n_c)
+        elif kind == "parallel":
+            f = random_parallel(rng, n_a, n_c)
+        else:
+            f = identity_table(n_a, n_c)
+        group_kind = rng.choice(("full", "trivial", "gens"))
+        if group_kind == "full":
+            group = PermGroup.symmetric(n_c)
+        elif group_kind == "trivial":
+            group = PermGroup.trivial(n_c)
+        else:
+            group = PermGroup(n_c, (random_perm(rng, n_c),))
+        budget = Budget()
+        levels, gens = _symmetry_chain(f, group, budget)
+        digest.update(repr((budget.used, [sorted(reps.items()) for reps in levels], gens)).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
 
 
 def _decision(f: ProdBij, group: PermGroup) -> tuple[int, str, str]:
