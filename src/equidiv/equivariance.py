@@ -14,14 +14,14 @@ all N colours differ, the group is the identity alone and nothing is
 searched.  Else one propagation search over alpha, beta and gamma, which
 keeps the colours, gives a base and strong generating set, with one coset
 representative per point of each basic orbit.  The result is a
-:class:`Symmetries` record: the group's elements, sorted, each a permutation
-of the N points, and its generators.  Callers iterate it, which builds one
-:class:`SymTriple` per element.  With no generators the group is {id}, and
+:class:`Symmetries` record: the group's triples, sorted, as alpha, beta and
+gamma columns, and its generators.  Callers iterate it, which builds one
+:class:`SymTriple` per triple.  With no generators the group is {id}, and
 the canonical matching, the identity, is returned before any scan.  Else the
-half-fixed witness is found by comparing slices of the elements, and the
-matching and the soundness re-check use the generators alone.  The matching
-computes each orbit on A x B when its pass first reaches one of its cells,
-and returns the images of h.  A certificate is written from the elements.
+half-fixed witness is the first triple that moves one of A and B only, and
+the matching and the soundness re-check use the generators alone.  The
+matching computes each orbit on A x B when its pass first reaches one of
+its cells.  A certificate is written from the columns.
 :func:`pair_orbits` is the whole table, for tests and tracing, and the only
 code that makes :class:`Orbit` records.
 """
@@ -92,29 +92,35 @@ def apply_pair(h: Perm, alpha: Perm, beta: Perm) -> Perm:
 #
 # A triple acts on the N = 2nA + nC points A ⊔ B ⊔ C: alpha on 0..nA-1, beta
 # on nA..2nA-1 and gamma on 2nA..N-1.  A symmetry is therefore one
-# permutation of N points, and the stabilizer is kept as a list of them, in
-# the form :func:`_element_form` gives.
+# permutation of N points, an element, in the form :func:`_element_form`
+# gives; :func:`stabilizer` builds the elements, then cuts them into triples.
 
 
 @dataclass(frozen=True)
 class Symmetries:
     """Symmetry triples in order, with generators of a group that holds them all.
 
-    ``points`` holds each triple as one permutation of the N points, in the
-    form :func:`_element_form` gives; ``len`` is the number of triples.
-    Iterating builds a :class:`SymTriple` per triple, in order.
+    ``columns`` is ``(alphas, betas, gammas)``, each triple's local images in
+    three aligned lists; ``len`` is the number of triples.  Iterating builds
+    a :class:`SymTriple` per triple, in order.
     """
 
     n_a: int
     n_c: int
-    points: list[Sequence[int]]
+    columns: tuple[list[Sequence[int]], list[Sequence[int]], list[Sequence[int]]]
     generators: tuple[SymTriple, ...]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.columns[0])
 
     def __iter__(self) -> Iterator[SymTriple]:
-        return map(_splitter(self.n_a, self.n_c), self.points)
+        return map(_triple, *self.columns)
+
+
+def _triple(alpha: Sequence[int], beta: Sequence[int], gamma: Sequence[int]) -> SymTriple:
+    """The triple of three local image sequences; a Perm holds a tuple, even of bytes."""
+    perm = Perm._unchecked
+    return SymTriple(perm(tuple(alpha)), perm(tuple(beta)), perm(tuple(gamma)))
 
 
 def _symmetry_chain(
@@ -332,31 +338,12 @@ def _element_form(n: int) -> tuple[Callable, Callable]:
 
 
 def _then_bytes(u: Sequence[int], hs: Iterable[bytes]) -> Iterator[bytes]:
-    return map(bytes.translate, hs, itertools.repeat(bytes(u) + bytes(range(len(u), 256))))
+    # each h holds points below len(u), so the table's padding is never read
+    return map(bytes.translate, hs, itertools.repeat(bytes(u).ljust(256)))
 
 
 def _then_tuples(u: Sequence[int], hs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     return (tuple(map(u.__getitem__, h)) for h in hs)
-
-
-def _splitter(n_a: int, n_c: int) -> Callable[[Sequence[int]], SymTriple]:
-    """Turns a permutation of the N points into its triple."""
-    g0 = 2 * n_a
-    local = (*range(n_a), *range(n_a), *range(n_c)).__getitem__
-    perm = Perm._unchecked
-
-    def split(t: Sequence[int]) -> SymTriple:
-        alpha = perm(tuple(t[:n_a]))  # a Perm holds a tuple, even when t is bytes
-        return SymTriple(alpha, perm(tuple(map(local, t[n_a:g0]))), perm(tuple(map(local, t[g0:]))))
-
-    return split
-
-
-def _join(t: SymTriple) -> Sequence[int]:
-    """The triple as one permutation of the N points, an element."""
-    n_a, g0 = t.alpha.degree, 2 * t.alpha.degree
-    beta, gamma = (b + n_a for b in t.beta.images), (c + g0 for c in t.gamma.images)
-    return _element_form(g0 + t.gamma.degree)[0]((*t.alpha.images, *beta, *gamma))
 
 
 def stabilizer(
@@ -366,22 +353,36 @@ def stabilizer(
 
     Each triple is the product of one transversal element per level of the
     base, so |Stab| is the product of the basic-orbit lengths.  The budget
-    is charged one tick per triple before any triple is built.
+    is charged one tick per triple before any triple is built.  The sorted
+    elements and the generators are cut into columns in one pass.
     """
     if group.degree != f.n_c:
         raise ValueError("group degree must equal nC")
     budget = budget or Budget()
     levels, gens = _symmetry_chain(f, group, budget)
     budget.tick(prod(map(len, levels)))
-    n = 2 * f.n_a + f.n_c
+    n_a, n_c = f.n_a, f.n_c
+    g0, n = 2 * n_a, 2 * n_a + n_c
     pack, then = _element_form(n)
+    if not levels:  # {id}, with no generators
+        ident = pack(range(n_a))
+        return Symmetries(n_a, n_c, ([ident], [ident], [pack(range(n_c))]), ())
     elements = [pack(range(n))]
     for reps in levels:
         steps = (then(u, elements) for u in reps.values())
         elements = list(itertools.chain.from_iterable(steps))
     elements.sort()
-    triples = tuple(map(_splitter(f.n_a, f.n_c), gens)) if gens else ()
-    return Symmetries(f.n_a, f.n_c, elements, triples)
+    m = len(elements)
+    elements += map(pack, gens)  # cut along with the elements, then split off
+    columns = (  # beta's and gamma's points shifted to local ones, A's are already
+        list(map(itemgetter(slice(0, n_a)), elements)),
+        list(then((0,) * n_a + tuple(range(n_a)), map(itemgetter(slice(n_a, g0)), elements))),
+        list(then((0,) * g0 + tuple(range(n_c)), map(itemgetter(slice(g0, None)), elements))),
+    )
+    triples = tuple(map(_triple, *(column[m:] for column in columns)))
+    for column in columns:
+        del column[m:]
+    return Symmetries(n_a, n_c, columns, triples)
 
 
 # -- orbits and matching ------------------------------------------------------
@@ -478,12 +479,11 @@ def _decide(f: ProdBij, syms: Symmetries, budget: Budget) -> Certificate:
     if not gens:  # {id}: no witness, and every orbit is one cell, so h is the identity
         budget.tick(n_a)
         return Certificate("exists", Perm.identity(n_a), syms, "matching-found")
-    ident = _element_form(2 * n_a + f.n_c)[0](range(2 * n_a))  # alpha and beta, in element form
-    id_a, id_b = ident[:n_a], ident[n_a:]
-    half_fixed = (t for t in syms.points if (t[:n_a] == id_a) != (t[n_a:2 * n_a] == id_b))
-    if (t := next(half_fixed, None)) is not None:
-        witness = _splitter(n_a, f.n_c)(t)
-        return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
+    ident = type(syms.columns[0][0])(range(n_a))  # alpha's and beta's identity, in their form
+    for alpha, beta, gamma in zip(*syms.columns):
+        if (alpha == ident) != (beta == ident):
+            witness = _triple(alpha, beta, gamma)
+            return Certificate("not-exists", None, syms, "half-fixed-witness", witness=witness)
     moves = [(t.alpha.images, t.beta.images) for t in gens]
     images = _orbit_union_matching(moves, f.n_a, f.n_b, budget)
     if images is None:
@@ -515,7 +515,9 @@ def nonexistence_from_symmetries(
         if not is_symmetry(f, t):
             raise ValueError("supplied triple is not a symmetry of f")
     # the triples in the given order, as their own generators
-    syms = Symmetries(f.n_a, f.n_c, [_join(t) for t in symmetries], tuple(symmetries))
+    columns = ([t.alpha.images for t in symmetries], [t.beta.images for t in symmetries],
+               [t.gamma.images for t in symmetries])
+    syms = Symmetries(f.n_a, f.n_c, columns, tuple(symmetries))
     cert = _decide(f, syms, budget or Budget())
     return None if cert.verdict == "exists" else cert
 
@@ -535,16 +537,12 @@ def render_symmetries(
     Each distinct local permutation of A and B is written once, by both
     label sets, and each of C's once, by C's.
     """
-    n_a, n_c, points = syms.n_a, syms.n_c, syms.points
-    g0 = 2 * n_a
-    then = _element_form(g0 + n_c)[1]
-    a_labs, b_labs, c_labs = map(point_labels, (a_labels, b_labels, c_labels), (n_a, n_a, n_c))
-    alphas = list(map(itemgetter(slice(0, n_a)), points))  # A's points are already local
-    betas = list(then((0,) * n_a + tuple(range(n_a)), map(itemgetter(slice(n_a, g0)), points)))
-    gammas = list(then((0,) * g0 + tuple(range(n_c)), map(itemgetter(slice(g0, None)), points)))
+    alphas, betas, gammas = syms.columns
+    labels, sizes = (a_labels, b_labels, c_labels), (syms.n_a, syms.n_a, syms.n_c)
+    a_labs, b_labs, c_labs = map(point_labels, labels, sizes)
     text_a, text_b = cycle_texts(set(alphas).union(betas), a_labs, b_labs)
     text_c = cycle_texts(set(gammas), c_labs)[0]
-    out = ["alpha ", "", "\nbeta ", "", "\ngamma ", "", "\n"] * len(points)
+    out = ["alpha ", "", "\nbeta ", "", "\ngamma ", "", "\n"] * len(alphas)
     out[1::7] = map(text_a.__getitem__, alphas)
     out[3::7] = map(text_b.__getitem__, betas)
     out[5::7] = map(text_c.__getitem__, gammas)

@@ -172,8 +172,8 @@ def shift_table(order: Sequence[str], c_labels: Sequence[str]) -> ProdBij:
     Row order[0] is (0,1,2), order[1] is (1,2,0), order[2] is (2,0,1);
     ``c_labels`` fixes which C index carries which label.
     """
-    if len(order) != 3 or sorted(order) != sorted(c_labels) or len(c_labels) != 3:
-        raise ValueError("order must arrange the three C labels")
+    if len(order) != 3 or len(set(order)) != 3 or sorted(order) != sorted(c_labels):
+        raise ValueError("order must arrange three distinct C labels")
     shift = {lab: s for s, lab in enumerate(order)}
     rows = [[(a + shift[lab]) % 3 for a in range(3)] for lab in c_labels]
     return ProdBij.parallel_from_rows(rows)

@@ -445,6 +445,11 @@ class TestGallery:
         assert code == 0
         assert out.splitlines() == ["row x: 2 0 1", "row y: 0 1 2", "row z: 1 2 0"]
 
+    def test_gadget_xyz_rejects_repeated_label(self, capsys):
+        code, out, err = run(capsys, "gallery", "gadget-xyz", "x,x,y")
+        assert code == 3 and out == ""
+        assert err == "error: order must arrange three distinct C labels\n"
+
 
 class TestProbeCli:
     def test_exhaustive(self, capsys):

@@ -38,6 +38,7 @@ from equidiv.corpus import two_by_two_counterexample
 from equidiv.equivariance import Orbit, Symmetries, _orbit_union_matching
 
 from conftest import cycles_text, identity_table, inverse, random_bij
+from test_stabilizer import oracle
 
 
 def halffixed_witness(symmetries):
@@ -678,14 +679,23 @@ class TestPastByteRange:
         assert len(syms) == n
         assert render_symmetries(syms) == reference_listing(syms, None, None, None)
 
-
-def split_by_definition(t, n_a):
-    g0 = 2 * n_a
-    return SymTriple(
-        Perm(t[:n_a]),
-        Perm(tuple(x - n_a for x in t[n_a:g0])),
-        Perm(tuple(x - g0 for x in t[g0:])),
-    )
+    def test_half_fixed_witness_at_258_points(self):
+        # Z86 acting on itself, N = 2 * 86 + 86, under the group that right
+        # translation by 1 generates: 86^2 triples, and a half-fixed witness
+        f = regular_rep(CayleyTable.cyclic(86))
+        group = PermGroup(86, (CayleyTable.cyclic(86).right_translation(1),))
+        syms = stabilizer(f, group)
+        triples = list(syms)
+        assert len(triples) == 86 * 86
+        cert = equivariant_quotient(f, group)
+        assert (cert.verdict, cert.reason) == ("not-exists", "half-fixed-witness")
+        assert cert.witness is not None and cert.witness == halffixed_witness(triples)
+        # subset mode, in file order: the reversed listing's first witness is its
+        # 86th triple; 172 triples keep the check of each one with is_symmetry short
+        backwards = triples[::-1][:172]
+        back = nonexistence_from_symmetries(f, backwards)
+        assert back.reason == "half-fixed-witness"
+        assert back.witness == halffixed_witness(backwards) == backwards[85]
 
 
 class TestSymmetries:
@@ -704,8 +714,19 @@ class TestSymmetries:
     @pytest.mark.parametrize("f, group", CASES)
     def test_sequence_agrees_with_sorted_list(self, f, group):
         syms = stabilizer(f, group)
-        want = [split_by_definition(t, f.n_a) for t in syms.points]
-        assert want == sorted(want, key=lambda t: (t.alpha.images, t.beta.images, t.gamma.images))
+        alphas, betas, gammas = syms.columns
+        assert len(alphas) == len(betas) == len(gammas)
+        want = [
+            SymTriple(Perm(tuple(a)), Perm(tuple(b)), Perm(tuple(g)))
+            for a, b, g in zip(alphas, betas, gammas)
+        ]
+        if f.n_a <= 4:
+            assert want == oracle(f, group)
+        else:  # the checkered product, nA 8: 192 triples, counted by trying every alpha and gamma
+            keys = [(t.alpha.images, t.beta.images, t.gamma.images) for t in want]
+            assert all(is_symmetry(f, t) for t in want)
+            assert all(x < y for x, y in zip(keys, keys[1:]))  # sorted, each once
+            assert len(want) == 192
         assert len(syms) == len(want)
         assert list(syms) == want
         assert list(syms) == want  # a second pass starts afresh
@@ -714,9 +735,11 @@ class TestSymmetries:
             syms[0]
         # equal by value: the same fields, not the same object
         assert stabilizer(f, group) == syms
-        assert Symmetries(f.n_a, f.n_c, list(syms.points), syms.generators) == syms
+        columns = tuple(map(list, syms.columns))
+        assert Symmetries(f.n_a, f.n_c, columns, syms.generators) == syms
         if len(want) > 1:
-            assert Symmetries(f.n_a, f.n_c, syms.points[::-1], syms.generators) != syms
+            backwards = tuple(column[::-1] for column in columns)
+            assert Symmetries(f.n_a, f.n_c, backwards, syms.generators) != syms
 
     @pytest.mark.parametrize("f, group", CASES)
     def test_pickle_round_trip(self, f, group):
