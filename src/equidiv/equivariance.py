@@ -92,8 +92,8 @@ def apply_pair(h: Perm, alpha: Perm, beta: Perm) -> Perm:
 #
 # A triple acts on the N = 2nA + nC points A ⊔ B ⊔ C: alpha on 0..nA-1, beta
 # on nA..2nA-1 and gamma on 2nA..N-1.  A symmetry is therefore one
-# permutation of N points, an element, in the form :func:`_element_form`
-# gives; :func:`stabilizer` builds the elements, then cuts them into triples.
+# permutation of N points, an element; :func:`stabilizer` builds the
+# elements, then cuts them into triples.
 
 
 @dataclass(frozen=True)
@@ -325,18 +325,6 @@ def _transversal(
     return reps
 
 
-def _element_form(n: int) -> tuple[Callable, Callable]:
-    """How an element on n points is held: ``(pack, then)``.
-
-    ``pack`` turns an image sequence into an element; ``then(u, hs)`` yields
-    h then u for each element h.  Up to 256 points an element is bytes, so
-    composing (``bytes.translate`` with u as a 256-byte table), slicing,
-    comparing and sorting run in C; equal-length bytes sort as tuples do.
-    Above, bytes cannot hold a point, and an element is a tuple.
-    """
-    return (bytes, _then_bytes) if n <= 256 else (tuple, _then_tuples)
-
-
 def _then_bytes(u: Sequence[int], hs: Iterable[bytes]) -> Iterator[bytes]:
     # each h holds points below len(u), so the table's padding is never read
     return map(bytes.translate, hs, itertools.repeat(bytes(u).ljust(256)))
@@ -353,8 +341,9 @@ def stabilizer(
 
     Each triple is the product of one transversal element per level of the
     base, so |Stab| is the product of the basic-orbit lengths.  The budget
-    is charged one tick per triple before any triple is built.  The sorted
-    elements and the generators are cut into columns in one pass.
+    is charged one tick per triple before any triple is built.  Each triple
+    is made once, as an element on the N points, and the sorted elements are
+    cut into columns; each generator is cut from its own images.
     """
     if group.degree != f.n_c:
         raise ValueError("group degree must equal nC")
@@ -363,26 +352,28 @@ def stabilizer(
     budget.tick(prod(map(len, levels)))
     n_a, n_c = f.n_a, f.n_c
     g0, n = 2 * n_a, 2 * n_a + n_c
-    pack, then = _element_form(n)
+    # bytes compose (translate), slice, compare and sort in C, and sort as tuples
+    # do, but hold points below 256 only
+    pack, then = (bytes, _then_bytes) if n <= 256 else (tuple, _then_tuples)
     if not levels:  # {id}, with no generators
         ident = pack(range(n_a))
         return Symmetries(n_a, n_c, ([ident], [ident], [pack(range(n_c))]), ())
     elements = [pack(range(n))]
     for reps in levels:
-        steps = (then(u, elements) for u in reps.values())
-        elements = list(itertools.chain.from_iterable(steps))
+        # the first representative, the base point's, is the identity: its
+        # products are the elements already held, so only the others' are new
+        _, *others = reps.values()
+        elements += list(itertools.chain.from_iterable(then(u, elements) for u in others))
     elements.sort()
-    m = len(elements)
-    elements += map(pack, gens)  # cut along with the elements, then split off
     columns = (  # beta's and gamma's points shifted to local ones, A's are already
         list(map(itemgetter(slice(0, n_a)), elements)),
         list(then((0,) * n_a + tuple(range(n_a)), map(itemgetter(slice(n_a, g0)), elements))),
         list(then((0,) * g0 + tuple(range(n_c)), map(itemgetter(slice(g0, None)), elements))),
     )
-    triples = tuple(map(_triple, *(column[m:] for column in columns)))
-    for column in columns:
-        del column[m:]
-    return Symmetries(n_a, n_c, columns, triples)
+    generators = tuple(
+        _triple(g[:n_a], [x - n_a for x in g[n_a:g0]], [x - g0 for x in g[g0:]]) for g in gens
+    )
+    return Symmetries(n_a, n_c, columns, generators)
 
 
 # -- orbits and matching ------------------------------------------------------
@@ -555,19 +546,19 @@ def parse_symmetries(
     b_labels: Sequence[str],
     c_labels: Sequence[str],
 ) -> list[SymTriple]:
-    parts: dict[str, list[Perm]] = {"alpha": [], "beta": [], "gamma": []}
-    labels = {"alpha": a_labels, "beta": b_labels, "gamma": c_labels}
+    """The triples of :func:`render_symmetries`' text: three lines each,
+    ``alpha``, ``beta`` and ``gamma`` in that order."""
+    kinds, labels = ("alpha", "beta", "gamma"), (a_labels, b_labels, c_labels)
+    perms: list[Perm] = []
     for line in content_lines(text):
         kind, _, rest = line.partition(" ")
-        if kind not in parts:
-            raise FormatError(f"unrecognized symmetry line: {line!r}")
-        parts[kind].append(parse_cycles(rest.strip(), labels[kind]))
-    if not len(parts["alpha"]) == len(parts["beta"]) == len(parts["gamma"]):
+        i = len(perms) % 3
+        if kind != kinds[i]:
+            raise FormatError(f"expected the {kinds[i]} line, got: {line!r}")
+        perms.append(parse_cycles(rest.strip(), labels[i]))
+    if len(perms) % 3:
         raise FormatError("unbalanced alpha/beta/gamma lines")
-    return [
-        SymTriple(a, b, g)
-        for a, b, g in zip(parts["alpha"], parts["beta"], parts["gamma"])
-    ]
+    return list(map(SymTriple, perms[0::3], perms[1::3], perms[2::3]))
 
 
 def render_certificate(

@@ -66,6 +66,8 @@ class LazyBij:
         n_c = len(self.c_labels)
         if self.gamma.degree != n_c or len(self.symbol_by_row) != n_c:
             raise ValueError("row metadata shape mismatch")
+        if len(set(self.c_labels)) != n_c:  # a row is named by its label alone
+            raise ValueError(f"repeated C label in: {self.c_labels}")
         for i, s in enumerate(self.symbol_by_row):
             if (self.gamma(i) != i) != (s is not None):
                 raise ValueError("moved/fixed classification disagrees with gamma")
@@ -139,10 +141,8 @@ def lazy_apply_symbols(lazy: LazyBij, beta: SymbolPerm) -> LazyBij:
 def lazy_equal(x: LazyBij, y: LazyBij) -> bool:
     """Equality as functions, matching rows by label rather than position;
     past the header a row's rule follows from its first entry."""
-    if set(x.c_labels) != set(y.c_labels):
+    if set(x.c_labels) != set(y.c_labels):  # labels are distinct, so the widths agree
         return False
-    if x.width != y.width:
-        return False  # tail shifts would disagree past the shorter header
     for label in x.c_labels:
         xi = x.c_labels.index(label)
         yi = y.c_labels.index(label)

@@ -360,6 +360,11 @@ class TestGallery:
         assert code == 0
         assert "row 1: 1:1 0:1" in out
 
+    def test_cyclic_past_26_labels_c_by_number(self, capsys):
+        code, out, _ = run(capsys, "gallery", "cyclic", "27")
+        assert code == 0
+        assert out.splitlines()[2] == "labels C: " + " ".join(map(str, range(27)))
+
     def test_klein(self, capsys):
         code, out, _ = run(capsys, "gallery", "klein")
         assert code == 0 and "bij nA 4 nB 4 nC 4" in out
@@ -524,6 +529,23 @@ class TestVerifyPaper:
         lines = out.splitlines()
         assert lines[-1] == "all checks passed"
         assert all(l.startswith("ok ") for l in lines[:-1])
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        from equidiv import corpus
+
+        def wrong():
+            raise AssertionError("count is 3, not 4")
+
+        def bare():
+            raise AssertionError
+
+        items = [("fine", lambda: None), ("wrong", wrong), ("bare", bare), ("after", lambda: None)]
+        monkeypatch.setattr(corpus, "ITEMS", items)
+        code, out, _ = run(capsys, "verify-paper")
+        assert code == 1
+        assert out.splitlines() == [
+            "ok fine", "FAIL wrong: count is 3, not 4", "FAIL bare", "ok after", "some checks FAILED"
+        ]
 
 
 class TestParserReuse:

@@ -551,6 +551,27 @@ class TestTextFormats:
         with pytest.raises(FormatError):
             parse_symmetries("delta ()\n", ("0",), ("0",), ("a",))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (  # two alphas, then two betas and two gammas
+                "alpha (0,1)\nalpha ()\nbeta (0,1)\nbeta ()\ngamma ()\ngamma ()\n",
+                "expected the beta line, got: 'alpha ()'",
+            ),
+            (  # one triple, backwards
+                "gamma ()\nbeta (0,1)\nalpha (0,1)\n",
+                "expected the alpha line, got: 'gamma ()'",
+            ),
+        ],
+        ids=["alphas-first", "backwards"],
+    )
+    def test_parse_reads_each_triple_in_order(self, text, message):
+        """Lines out of turn are not paired up again: each triple is an
+        alpha, a beta and a gamma line, in that order."""
+        with pytest.raises(FormatError) as exc:
+            parse_symmetries(text, ("0", "1"), ("0", "1"), ("a",))
+        assert str(exc.value) == message
+
     def test_certificate_exists_render(self):
         f = identity_table(2, 1)
         cert = equivariant_quotient(f, PermGroup.trivial(1))

@@ -57,6 +57,7 @@ class TestCayleyTable:
             ((0, 1), (1, 1)),  # no inverse for 1
             ((0, 1, 2), (1, 2, 0)),  # not square
             (),  # no element
+            ((0, 1), (1, 2)),  # entry 2 out of range
         ],
     )
     def test_rejects_non_groups(self, rows):
@@ -123,6 +124,10 @@ class TestCheckered:
             checkered_product(parse_cycles("(a,b)", "abc"), ("a", "b", "c"))
         with pytest.raises(ValueError):
             checkered_product(Perm.identity(0), ())
+
+    def test_rejects_wrong_label_count(self):
+        with pytest.raises(ValueError, match="label count must match degree"):
+            checkered_product(parse_cycles("(a,b)", "ab"), ("a", "b", "c"))
 
     @pytest.mark.parametrize("sigma", CHECKERED_DIGESTS)
     def test_output_digest(self, capsys, sigma):

@@ -130,6 +130,20 @@ class TestBuildCounterexample:
         with pytest.raises(ValueError):
             LazyBij(tuple("abc"), Perm.from_cycles([(0, 1)], 3), symbol_by_row)
 
+    @pytest.mark.parametrize(
+        "gamma,labels,message",
+        [
+            (Perm.from_cycles([(0, 1)], 2), ("a", "b", "c"), "gamma degree must match |C|"),
+            # two rows named a could not say which one a "Ka" entry means
+            (Perm.from_cycles([(0, 1)], 3), ("a", "b", "a"), "repeated C label in: ('a', 'b', 'a')"),
+        ],
+        ids=["degree", "repeated-label"],
+    )
+    def test_rejects_labels_that_do_not_name_the_rows(self, gamma, labels, message):
+        with pytest.raises(ValueError) as exc:
+            build_counterexample(gamma, labels)
+        assert str(exc.value) == message
+
     def test_eval_rejects_nonpositive_column(self):
         lazy = ordering_gadget("a", "b", "c")
         with pytest.raises(ValueError):
@@ -154,6 +168,11 @@ class TestLazyEquality:
 
     def test_distinguishes_guises(self):
         assert not lazy_equal(ordering_gadget("a", "b", "c"), ordering_gadget("b", "a", "c"))
+
+    def test_different_label_sets_differ(self):
+        assert not lazy_equal(ordering_gadget("a", "b", "c"), ordering_gadget("a", "b", "d"))
+        two = build_counterexample(Perm.from_cycles([(0, 1)], 2), ("a", "b"))
+        assert not lazy_equal(two, ordering_gadget("a", "b", "c"))
 
     def test_symbol_swap_swaps_guises(self):
         swap = SymbolPerm((("K", "Q"), ("Q", "K")))

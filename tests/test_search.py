@@ -8,6 +8,8 @@ import pytest
 import equidiv.search as search
 from equidiv import (
     BudgetExceeded,
+    EquidivError,
+    Perm,
     PermGroup,
     ProdBij,
     equivariant_quotient,
@@ -257,3 +259,17 @@ class TestBasepointExtraction:
     def test_needs_three_labels(self):
         with pytest.raises(ValueError):
             extract_basepoint(functools.partial(fp_divide, star=0), ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "images,message",
+        [
+            ((0, 2, 1), "quotient does not match a unique row of the gadget"),
+            # the identity is the row of each guise's first label
+            ((0, 1, 2), "guises disagree on the basepoint: ['a', 'a', 'b', 'b', 'c', 'c']"),
+        ],
+        ids=["no-row", "row-per-guise"],
+    )
+    def test_rejects_a_divider_that_is_no_division_method(self, images, message):
+        with pytest.raises(EquidivError) as exc:
+            extract_basepoint(lambda f: Perm(images), ("a", "b", "c"))
+        assert str(exc.value) == message

@@ -190,6 +190,29 @@ def _nodes(f: ProdBij, group: PermGroup) -> tuple[int, int]:
     return budget.used, len(triples)
 
 
+def test_generators_are_the_chain_cut_by_definition():
+    """stabilizer()'s generators are _symmetry_chain's, each N-point image
+    cut into alpha, beta - nA and gamma - 2nA, and |Stab| is the product of
+    the level sizes: on a table of 42 points, whose elements are bytes, and
+    on CI's wide table (nA 3, nC 251) of 257 points, whose elements are tuples."""
+    checkered = checkered_product(parse_cycles("(a,b,c)(d,e,f)", "abcdef"), tuple("abcdef"))
+    cases = [(checkered.bij, PermGroup.symmetric(6)), (identity_table(3, 251), PermGroup.trivial(251))]
+    for f, group in cases:
+        n_a, g0 = f.n_a, 2 * f.n_a
+        levels, gens = _symmetry_chain(f, group, Budget())
+        syms = stabilizer(f, group)
+        assert syms.generators == tuple(
+            SymTriple(
+                Perm(g[:n_a]),
+                Perm(tuple(x - n_a for x in g[n_a:g0])),
+                Perm(tuple(x - g0 for x in g[g0:])),
+            )
+            for g in gens
+        )
+        assert gens and len(syms) == prod(map(len, levels))
+    assert [2 * f.n_a + f.n_c for f, _ in cases] == [42, 257]
+
+
 def test_pinned_node_counts():
     """Budget use of the stabilizer: search nodes plus one tick per triple.
 
