@@ -148,9 +148,13 @@ def _cmd_gallery(parser: argparse.ArgumentParser, args) -> int:
         f = regular_rep(table)
         sys.stdout.write(serialize_bijection(f, None, None, _default_labels(f.n_c)))
     elif kind == "regular-rep":
-        lines = content_lines(Path(args.arg).read_text())
-        f = regular_rep(CayleyTable(tuple(tuple(map(int, line.split())) for line in lines)))
-        sys.stdout.write(serialize_bijection(f))
+        rows = []
+        for line in content_lines(Path(args.arg).read_text()):
+            try:
+                rows.append(tuple(map(int, line.split())))
+            except ValueError:
+                raise FormatError(f"bad table row: {line!r}") from None
+        sys.stdout.write(serialize_bijection(regular_rep(CayleyTable(tuple(rows)))))
     elif kind == "checkered":
         # label universe: letters for the support of sigma, declared by degree
         text = args.arg
@@ -178,33 +182,14 @@ def _cmd_gallery(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from .equivariance import render_certificate
     from .search import probe_cancelling
 
-    c_labels = _default_labels(args.n_c)
-    group = _resolve_group(args.group, c_labels)
+    group = _resolve_group(args.group, _default_labels(args.n_c))
     report = probe_cancelling(
-        args.n_a,
-        args.n_c,
-        group,
-        args.mode,
-        sample=args.sample,
-        seed=args.seed,
-        jobs=args.jobs,
-        group_name=args.group,
-        node_limit=args.budget,
+        args.n_a, args.n_c, group, args.mode, sample=args.sample, seed=args.seed, jobs=args.jobs,
+        group_name=args.group, node_limit=args.budget, cert_dir=args.cert_dir,
     )
     sys.stdout.write(report.render())
-    if args.cert_dir:
-        outdir = Path(args.cert_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for cex in report.counterexamples:
-            (outdir / f"cex-{cex.index:06d}.eqd").write_text(
-                serialize_bijection(cex.bij)
-            )
-            (outdir / f"cex-{cex.index:06d}.cert").write_text(
-                render_certificate(cex.certificate)
-            )
     return 0
 
 

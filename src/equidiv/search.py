@@ -2,7 +2,9 @@
 
 Reports never extrapolate: a clean scan at one size says only that no
 counterexample exists at that size.  All scans are deterministic for a given
-parameter set and seed, independent of the worker count.
+parameter set and seed, independent of the worker count.  A report holds each
+counterexample's index, table and reason; the scan that decides one writes its
+table and certificate at once, when a certificate directory is given.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import os
 import random
 from dataclasses import dataclass
 from math import factorial, gcd
+from pathlib import Path
 from typing import Callable, Sequence
 
-from .bijection import ProdBij
-from .equivariance import Budget, Certificate, equivariant_quotient
+from .bijection import ProdBij, serialize_bijection
+from .equivariance import Budget, equivariant_quotient, render_certificate
 from .errors import DEFAULT_NODE_LIMIT, BudgetExceeded, EquidivError
 from .perm import Perm, PermGroup
 
@@ -59,7 +62,7 @@ def _stream(n_a: int, n_c: int, mode: str, sample: int | None, seed: int):
 class ProbeCounterexample:
     index: int
     bij: ProdBij
-    certificate: Certificate
+    reason: str
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -71,8 +74,9 @@ def ProcessPoolExecutor(max_workers: int):
 
 
 def _scan_chunk(args) -> list[ProbeCounterexample]:
-    """The counterexamples among candidates start..stop-1 of the scan ``params``."""
-    (n_a, n_c, group, mode, sample, seed, node_limit), start, stop = args
+    """The counterexamples among candidates start..stop-1 of the scan ``params``,
+    each written to ``cert_dir`` as soon as it is decided when that is set."""
+    (n_a, n_c, group, mode, sample, seed, node_limit, cert_dir), start, stop = args
     candidates = itertools.islice(_stream(n_a, n_c, mode, sample, seed), start, stop)
     decode = ProdBij.parallel_from_rows if mode != "all" else lambda t: ProdBij.from_flat(t, n_a, n_c)
     hits = []
@@ -80,7 +84,10 @@ def _scan_chunk(args) -> list[ProbeCounterexample]:
         f = decode(flat)
         cert = equivariant_quotient(f, group, Budget(node_limit))
         if cert.verdict == "not-exists":
-            hits.append(ProbeCounterexample(index, f, cert))
+            hits.append(ProbeCounterexample(index, f, cert.reason))
+            if cert_dir:
+                Path(cert_dir, f"cex-{index:06d}.eqd").write_text(serialize_bijection(f))
+                Path(cert_dir, f"cex-{index:06d}.cert").write_text(render_certificate(cert))
     return hits
 
 
@@ -106,7 +113,7 @@ class ProbeReport:
         for cex in self.counterexamples:
             lines.append(
                 f"counterexample {cex.index} cert cex-{cex.index:06d}.cert "
-                f"reason {cex.certificate.reason}"
+                f"reason {cex.reason}"
             )
         lines.append(
             f"summary counterexamples {len(self.counterexamples)} of {self.total}"
@@ -125,11 +132,13 @@ def probe_cancelling(
     jobs: int = 1,
     group_name: str = "?",
     node_limit: int = DEFAULT_NODE_LIMIT,
+    cert_dir: str | os.PathLike | None = None,
 ) -> ProbeReport:
-    """Scan bijections at a fixed size and collect not-exists certificates.
+    """Scan bijections at a fixed size and collect the not-exists verdicts.
 
     ``jobs`` must be >= 1; at most ``os.cpu_count()`` worker processes run,
-    whatever it asks.
+    whatever it asks.  A ``cert_dir`` is made before the scan starts, and gets
+    ``cex-NNNNNN.eqd`` and ``cex-NNNNNN.cert`` for each counterexample.
     """
     if n_a < 0 or n_c < 0:
         raise ValueError(f"nA and nC must be >= 0, got nA {n_a} nC {n_c}")
@@ -156,7 +165,9 @@ def probe_cancelling(
     else:
         total, coverage, used_seed = sample, "sampled", seed
 
-    params = (n_a, n_c, group, mode, sample, seed, node_limit)
+    if cert_dir:
+        Path(cert_dir).mkdir(parents=True, exist_ok=True)
+    params = (n_a, n_c, group, mode, sample, seed, node_limit, cert_dir)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 2 * jobs:
         cexs = _scan_chunk((params, 0, total))

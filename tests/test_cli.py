@@ -405,6 +405,11 @@ class TestGallery:
         code, _, err = run(capsys, "gallery", "regular-rep", str(table))
         assert code == 3
 
+    def test_regular_rep_names_a_row_that_is_not_integers(self, capsys, xor_file):
+        code, out, err = run(capsys, "gallery", "regular-rep", xor_file)
+        assert code == 3 and out == ""
+        assert err == "error: bad table row: 'EQUIDIV 1'\n"
+
     def test_empty_group_rejected(self, capsys, tmp_path):
         table = tmp_path / "empty.txt"
         table.write_text("# no rows\n")
@@ -470,6 +475,14 @@ class TestProbeCli:
         eqds = sorted(p.name for p in certs.glob("*.eqd"))
         assert len(eqds) == 12 and eqds[0] == "cex-000001.eqd"
         assert (certs / "cex-000001.cert").read_text().startswith("verdict not-exists")
+
+    def test_cert_dir_that_is_a_file(self, capsys, tmp_path):
+        # the directory is made before the scan, so nothing is printed
+        (tmp_path / "certs").write_text("")
+        code, out, err = run(
+            capsys, "probe", "--nA", "2", "--nC", "2", "--cert-dir", str(tmp_path / "certs")
+        )
+        assert code == 3 and out == "" and err.startswith("error: ")
 
     def test_sampled_seeded(self, capsys):
         code1, out1, _ = run(

@@ -17,6 +17,7 @@ from equidiv import (
     fp_divide,
     gcd_filter,
     parallelize,
+    parse_bijection,
     probe_cancelling,
     render_certificate,
 )
@@ -54,11 +55,19 @@ def serial_pool(monkeypatch):
     return seen
 
 
-def outcome(report):
-    """Everything a probe reports: its text, and each counterexample's table and certificate."""
-    return report.render(), [
-        (c.index, c.bij, render_certificate(c.certificate)) for c in report.counterexamples
-    ]
+def written(cert_dir):
+    """The files a probe wrote to ``cert_dir``, by name."""
+    return {p.name: p.read_text() for p in sorted(cert_dir.iterdir())}
+
+
+def outcome(report, cert_dir):
+    """Everything a probe reports: its text, each counterexample's index and
+    table, and the tables and certificates it wrote to ``cert_dir``."""
+    return (
+        report.render(),
+        [(c.index, c.bij) for c in report.counterexamples],
+        written(cert_dir),
+    )
 
 
 #: (nA, nC, mode, sample): sampled and exhaustive scans in both modes, each
@@ -141,17 +150,16 @@ class TestProbe:
         assert r1.render() == r2.render()
         assert r1.coverage == "sampled" and r1.total == 50
 
-    def test_jobs_do_not_change_output(self):
+    def test_jobs_do_not_change_output(self, tmp_path):
         group = PermGroup.symmetric(2)
-        serial = probe_cancelling(2, 2, group, "all", jobs=1, group_name="full")
-        parallel = probe_cancelling(2, 2, group, "all", jobs=2, group_name="full")
-        assert serial.render() == parallel.render()
-        assert [(c.index, c.bij) for c in serial.counterexamples] == [
-            (c.index, c.bij) for c in parallel.counterexamples
-        ]
-        assert [render_certificate(c.certificate) for c in serial.counterexamples] == [
-            render_certificate(c.certificate) for c in parallel.counterexamples
-        ]
+        serial, parallel = (
+            probe_cancelling(
+                2, 2, group, "all", jobs=jobs, group_name="full", cert_dir=tmp_path / f"j{jobs}"
+            )
+            for jobs in (1, 2)
+        )
+        assert outcome(serial, tmp_path / "j1") == outcome(parallel, tmp_path / "j2")
+        assert len(written(tmp_path / "j1")) == 2 * len(serial.counterexamples) == 24
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch, serial_pool):
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
@@ -162,17 +170,22 @@ class TestProbe:
         assert report.render() == serial.render()
 
     @pytest.mark.parametrize("n_a,n_c,mode,sample", SCANS)
-    def test_jobs_invariance_in_a_pool(self, n_a, n_c, mode, sample):
+    def test_jobs_invariance_in_a_pool(self, tmp_path, n_a, n_c, mode, sample):
         group = PermGroup.symmetric(n_c)
         runs = [
-            probe_cancelling(n_a, n_c, group, mode, sample=sample, seed=9, jobs=jobs)
+            probe_cancelling(
+                n_a, n_c, group, mode, sample=sample, seed=9, jobs=jobs,
+                cert_dir=tmp_path / f"j{jobs}",
+            )
             for jobs in (1, 2)
         ]
         assert runs[0].counterexamples
-        assert outcome(runs[0]) == outcome(runs[1])
+        assert outcome(runs[0], tmp_path / "j1") == outcome(runs[1], tmp_path / "j2")
 
     @pytest.mark.parametrize("n_a,n_c,mode,sample", SCANS)
-    def test_chunks_tile_the_scan(self, monkeypatch, serial_pool, n_a, n_c, mode, sample):
+    def test_chunks_tile_the_scan(
+        self, monkeypatch, tmp_path, serial_pool, n_a, n_c, mode, sample
+    ):
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         decided = []
 
@@ -182,25 +195,30 @@ class TestProbe:
 
         monkeypatch.setattr(search, "equivariant_quotient", decide)
         group = PermGroup.symmetric(n_c)
-        serial = probe_cancelling(n_a, n_c, group, mode, sample=sample, seed=9)
-        chunked = probe_cancelling(n_a, n_c, group, mode, sample=sample, seed=9, jobs=2)
+        serial = probe_cancelling(
+            n_a, n_c, group, mode, sample=sample, seed=9, cert_dir=tmp_path / "serial"
+        )
+        chunked = probe_cancelling(
+            n_a, n_c, group, mode, sample=sample, seed=9, jobs=2, cert_dir=tmp_path / "chunked"
+        )
         assert serial_pool.workers == [2]
-        assert outcome(serial) == outcome(chunked)
+        assert outcome(serial, tmp_path / "serial") == outcome(chunked, tmp_path / "chunked")
         # both scans decide every candidate once, in the same order
         assert decided[: serial.total] == decided[serial.total :]
         assert len(decided) == 2 * serial.total
         ranges = [(start, stop) for _, start, stop in serial_pool.chunks]
         bounds = [0] + [stop for _, stop in ranges]
         assert ranges == list(zip(bounds, bounds[1:])) and bounds[-1] == serial.total
-        # a chunk names its range; it carries no candidates
+        # a chunk names its range and its directory; it carries no candidates
         for params, _, _ in serial_pool.chunks:
             assert not any(isinstance(p, (tuple, list)) for p in params)
+            assert params[-1] == tmp_path / "chunked"
 
     # the first range holds counterexample 362186; the last eight tables have none
     @pytest.mark.parametrize("start", [362180, 362872])
     def test_chunk_memory_does_not_grow_with_skipped_candidates(self, start):
         group = PermGroup.symmetric(3)
-        params = (3, 3, group, "all", None, 0, DEFAULT_NODE_LIMIT)
+        params = (3, 3, group, "all", None, 0, DEFAULT_NODE_LIMIT, None)
         tracemalloc.start()
         try:
             hits = search._scan_chunk((params, start, start + 8))
@@ -218,15 +236,41 @@ class TestProbe:
         ]
         assert [h.index for h in hits] == expected
 
-    def test_counterexamples_reverified_by_oracle(self):
+    def test_counterexamples_reverified_by_oracle(self, tmp_path):
         from equidiv import quotient_exists_bruteforce
 
         group = PermGroup.symmetric(2)
-        report = probe_cancelling(2, 2, group, "all")
+        report = probe_cancelling(2, 2, group, "all", cert_dir=tmp_path)
         assert report.counterexamples
         for cex in report.counterexamples:
-            assert cex.certificate.verdict == "not-exists"
+            cert = (tmp_path / f"cex-{cex.index:06d}.cert").read_text()
+            assert cert.startswith("verdict not-exists\n")
             assert not quotient_exists_bruteforce(cex.bij, group)
+
+    def test_files_hold_each_records_table_and_certificate(self, tmp_path):
+        group = PermGroup.symmetric(2)
+        report = probe_cancelling(3, 2, group, "all", cert_dir=tmp_path / "certs")
+        files = written(tmp_path / "certs")
+        assert len(files) == 2 * len(report.counterexamples) == 432
+        for cex in report.counterexamples:
+            name = f"cex-{cex.index:06d}"
+            assert parse_bijection(files[f"{name}.eqd"]).bij == cex.bij
+            cert = equivariant_quotient(cex.bij, group)
+            assert files[f"{name}.cert"] == render_certificate(cert)
+            assert cert.reason == cex.reason
+
+    def test_report_holds_no_certificates(self):
+        # with each Certificate kept, its whole symmetry listing included, this
+        # scan held about 690 KB
+        group = PermGroup.symmetric(2)
+        tracemalloc.start()
+        try:
+            report = probe_cancelling(3, 2, group, "all")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(report.counterexamples) == 216
+        assert held < 400_000
 
     def test_modes_agree_on_cancelling_at_size(self):
         # a counterexample exists in all mode iff one exists in parallel mode
