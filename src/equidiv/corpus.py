@@ -300,8 +300,9 @@ def check_probe_2_2() -> None:
     )
     assert report.total == 24
     assert len(report.counterexamples) >= 1
-    e1 = two_by_two_counterexample()
-    assert any(c.bij == e1 for c in report.counterexamples)
+    # candidate 1 of itertools.permutations(range(4)) is (0, 1, 3, 2): f(a, c) = (a xor c, c)
+    assert any(c.index == 1 for c in report.counterexamples)
+    assert ProdBij.from_flat((0, 1, 3, 2), 2, 2) == two_by_two_counterexample()
 
 
 def check_probe_2_3() -> None:

@@ -35,11 +35,21 @@ class CayleyTable:
         for x in rng:
             if ident[0] not in self.product[x]:
                 raise ValueError("missing inverse")
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if self.product[self.product[x][y]][z] != self.product[x][self.product[y][z]]:
-                        raise ValueError("product is not associative")
+        # Light's test: the a with (xa)y = x(ay) for all x, y are closed under the
+        # product, so only generators are checked, each outside what those before reach
+        p, reached, gens = self.product, set(ident), []
+        for g in rng:
+            if g in reached:
+                continue
+            if any(p[p[x][g]] != tuple(map(p[x].__getitem__, p[g])) for x in rng):
+                raise ValueError("product is not associative")
+            gens.append(g)
+            new = list(reached)
+            while new:
+                row = p[new.pop()]
+                fresh = {row[s] for s in gens} - reached
+                reached |= fresh
+                new += fresh
 
     @property
     def n(self) -> int:

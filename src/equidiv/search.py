@@ -2,9 +2,10 @@
 
 Reports never extrapolate: a clean scan at one size says only that no
 counterexample exists at that size.  All scans are deterministic for a given
-parameter set and seed, independent of the worker count.  A report holds each
-counterexample's index, table and reason; the scan that decides one writes its
-table and certificate at once, when a certificate directory is given.
+parameter set and seed, independent of the worker count.  A report holds its
+first line, its candidate count and each counterexample's index and reason;
+the scan that decides one writes its table and certificate at once, when a
+certificate directory is given.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ def _stream(n_a: int, n_c: int, mode: str, sample: int | None, seed: int):
 @dataclass(frozen=True)
 class ProbeCounterexample:
     index: int
-    bij: ProdBij
     reason: str
 
 
@@ -84,7 +84,7 @@ def _scan_chunk(args) -> list[ProbeCounterexample]:
         f = decode(flat)
         cert = equivariant_quotient(f, group, Budget(node_limit))
         if cert.verdict == "not-exists":
-            hits.append(ProbeCounterexample(index, f, cert.reason))
+            hits.append(ProbeCounterexample(index, cert.reason))
             if cert_dir:
                 Path(cert_dir, f"cex-{index:06d}.eqd").write_text(serialize_bijection(f))
                 Path(cert_dir, f"cex-{index:06d}.cert").write_text(render_certificate(cert))
@@ -93,23 +93,12 @@ def _scan_chunk(args) -> list[ProbeCounterexample]:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    n_a: int
-    n_c: int
-    group_name: str
-    mode: str
-    coverage: str  # "exhaustive" | "sampled"
-    seed: int | None
+    head: str
     total: int
     counterexamples: tuple[ProbeCounterexample, ...]
 
     def render(self) -> str:
-        head = (
-            f"probe nA {self.n_a} nC {self.n_c} group {self.group_name} "
-            f"mode {self.mode} coverage {self.coverage}"
-        )
-        if self.seed is not None:
-            head += f" seed {self.seed}"
-        lines = [head]
+        lines = [self.head]
         for cex in self.counterexamples:
             lines.append(
                 f"counterexample {cex.index} cert cex-{cex.index:06d}.cert "
@@ -154,6 +143,7 @@ def probe_cancelling(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if node_limit < 0:
         raise ValueError(f"budget must be >= 0, got {node_limit}")
+    head = f"probe nA {n_a} nC {n_c} group {group_name} mode {mode} coverage "
     if sample is None:
         total = factorial(n_a * n_c) if mode == "all" else factorial(n_a) ** n_c
         cap = ALL_MODE_CAP if mode == "all" else PARALLEL_MODE_CAP
@@ -161,9 +151,9 @@ def probe_cancelling(
             raise BudgetExceeded(
                 f"{total} candidates exceeds {mode}-mode cap {cap}; use sampling"
             )
-        coverage, used_seed = "exhaustive", None
+        head += "exhaustive"
     else:
-        total, coverage, used_seed = sample, "sampled", seed
+        total, head = sample, head + f"sampled seed {seed}"
 
     if cert_dir:
         Path(cert_dir).mkdir(parents=True, exist_ok=True)
@@ -176,9 +166,7 @@ def probe_cancelling(
         chunks = [(params, i, min(i + size, total)) for i in range(0, total, size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cexs = [cex for part in pool.map(_scan_chunk, chunks) for cex in part]
-    return ProbeReport(
-        n_a, n_c, group_name, mode, coverage, used_seed, total, tuple(cexs)
-    )
+    return ProbeReport(head, total, tuple(cexs))
 
 
 # -- basepoint extraction -----------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from math import prod
 
 import pytest
@@ -75,6 +76,47 @@ class TestCayleyTable:
         )
         with pytest.raises(ValueError):
             CayleyTable(rows)
+
+    def test_laws_agree_with_their_definition(self):
+        # every reduced Latin square of order <= 5 (63 of them), then random
+        # tables with identity 0, against the laws checked by definition, in
+        # the same order and with the same message
+        def by_definition(rows):
+            rng = range(len(rows))
+            if any(0 not in r for r in rows):
+                return "missing inverse"
+            for x, y, z in itertools.product(rng, repeat=3):
+                if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+                    return "product is not associative"
+            return None
+
+        def checked(rows):
+            try:
+                CayleyTable(rows)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def reduced_latin(n, rows):
+            if len(rows) == n:
+                yield rows
+                return
+            for row in itertools.permutations(range(n)):
+                if row[0] == len(rows) and all(a != b for r in rows for a, b in zip(r, row)):
+                    yield from reduced_latin(n, rows + (row,))
+
+        squares = [rows for n in range(1, 6) for rows in reduced_latin(n, (tuple(range(n)),))]
+        assert len(squares) == 63
+        rng = random.Random(0)
+        tables = [
+            tuple(tuple(range(n)) if x == 0 else (x, *rng.choices(range(n), k=n - 1)) for x in range(n))
+            for n in (rng.randint(1, 5) for _ in range(20_000))
+        ]
+        seen = set()
+        for rows in squares + tables:
+            assert checked(rows) == by_definition(rows), rows
+            seen.add(by_definition(rows))
+        assert seen == {None, "missing inverse", "product is not associative"}
 
     def test_translations(self):
         t = CayleyTable.cyclic(3)

@@ -62,10 +62,10 @@ def written(cert_dir):
 
 def outcome(report, cert_dir):
     """Everything a probe reports: its text, each counterexample's index and
-    table, and the tables and certificates it wrote to ``cert_dir``."""
+    reason, and the tables and certificates it wrote to ``cert_dir``."""
     return (
         report.render(),
-        [(c.index, c.bij) for c in report.counterexamples],
+        [(c.index, c.reason) for c in report.counterexamples],
         written(cert_dir),
     )
 
@@ -108,8 +108,9 @@ class TestProbe:
     def test_parallel_mode_finds_xor(self):
         report = probe_cancelling(2, 2, PermGroup.symmetric(2), "parallel")
         assert report.total == 4
-        e1 = two_by_two_counterexample()
-        assert any(c.bij == e1 for c in report.counterexamples)
+        # candidate 1 of the row-permutation product: rows (0, 1) and (1, 0)
+        assert ProdBij.parallel_from_rows([(0, 1), (1, 0)]) == two_by_two_counterexample()
+        assert any(c.index == 1 for c in report.counterexamples)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
@@ -148,7 +149,8 @@ class TestProbe:
         r1 = probe_cancelling(3, 2, group, "all", sample=50, seed=42)
         r2 = probe_cancelling(3, 2, group, "all", sample=50, seed=42)
         assert r1.render() == r2.render()
-        assert r1.coverage == "sampled" and r1.total == 50
+        assert r1.head == "probe nA 3 nC 2 group ? mode all coverage sampled seed 42"
+        assert r1.total == 50
 
     def test_jobs_do_not_change_output(self, tmp_path):
         group = PermGroup.symmetric(2)
@@ -245,17 +247,21 @@ class TestProbe:
         for cex in report.counterexamples:
             cert = (tmp_path / f"cex-{cex.index:06d}.cert").read_text()
             assert cert.startswith("verdict not-exists\n")
-            assert not quotient_exists_bruteforce(cex.bij, group)
+            bij = parse_bijection((tmp_path / f"cex-{cex.index:06d}.eqd").read_text()).bij
+            assert not quotient_exists_bruteforce(bij, group)
 
     def test_files_hold_each_records_table_and_certificate(self, tmp_path):
         group = PermGroup.symmetric(2)
         report = probe_cancelling(3, 2, group, "all", cert_dir=tmp_path / "certs")
         files = written(tmp_path / "certs")
         assert len(files) == 2 * len(report.counterexamples) == 432
+        # the stream's tables, in index order
+        tables = list(itertools.permutations(range(6)))
         for cex in report.counterexamples:
             name = f"cex-{cex.index:06d}"
-            assert parse_bijection(files[f"{name}.eqd"]).bij == cex.bij
-            cert = equivariant_quotient(cex.bij, group)
+            bij = ProdBij.from_flat(tables[cex.index], 3, 2)
+            assert parse_bijection(files[f"{name}.eqd"]).bij == bij
+            cert = equivariant_quotient(bij, group)
             assert files[f"{name}.cert"] == render_certificate(cert)
             assert cert.reason == cex.reason
 
@@ -271,6 +277,12 @@ class TestProbe:
             tracemalloc.stop()
         assert len(report.counterexamples) == 216
         assert held < 400_000
+
+    def test_records_hold_no_tables(self):
+        report = probe_cancelling(3, 2, PermGroup.symmetric(2), "all")
+        assert len(report.counterexamples) == 216
+        for cex in report.counterexamples:
+            assert not any(isinstance(v, ProdBij) for v in vars(cex).values())
 
     def test_modes_agree_on_cancelling_at_size(self):
         # a counterexample exists in all mode iff one exists in parallel mode
