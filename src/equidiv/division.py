@@ -25,10 +25,11 @@ round's graph must use an edge that the splices changed: either
 fwd[(x, c*)] was rewritten (x = u - c*nA for a spliced u in the basepoint
 row), or inv[(b, c*)] was, and then the cycle passes through the A point
 inv[(b, c*)] mod nA now names.  Later rounds walk only from those points.
-Each walk stamps the points it visits with its own id; it stops at a point
-stamped earlier in the round, and a walk that meets its own stamp has found
-a cycle.  A round costs O(|starts| + |walked| + |X|*nC), not a rescan of
-every surviving point.
+Each walk stamps the points it visits with its own id and keeps no list of
+them; it stops at a point stamped earlier in the round.  A walk that stops
+at its own stamp has run into a cycle, and walks that cycle once more from
+where it stopped to collect it.  A round costs O(|starts| + |walked| +
+|X|*nC), not a rescan of every surviving point.
 """
 
 from __future__ import annotations
@@ -59,23 +60,22 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
             if images[s] >= 0 or stamp[s] >= first:
                 continue
             walk += 1
-            path = []
             x = s
             while stamp[x] < first:
                 stamp[x] = walk
-                path.append(x)
                 x = q[p[x]]
-            if stamp[x] == walk:
-                core += path[path.index(x):]
+            if stamp[x] == walk:  # x is on a cycle: walk it again to collect it
+                core.append(x)
+                y = q[p[x]]
+                while y != x:
+                    core.append(y)
+                    y = q[p[y]]
         if not core:
             raise AssertionError("no cycle among surviving points (bug)")
         committed += len(core)
-        taken = [p[x] for x in core]
-        if len(set(taken)) != len(taken):
-            raise AssertionError("basepoint row not injective on cycle core (bug)")
         starts = []
-        for x, y in zip(core, taken):
-            images[x] = y
+        for x in core:
+            y = images[x] = p[x]
             for r in rows:
                 u, t = inv[r + y], fwd[r + x]
                 fwd[u] = t
@@ -86,6 +86,8 @@ def fp_divide(f: ProdBij, star: int) -> Perm:
                 if base <= t < top:  # q changed at B point t - base
                     q[t - base] = u % n
                     starts.append(u % n)
+    if set(images) != set(range(n)):
+        raise AssertionError("basepoint row not injective on cycle core (bug)")
     return Perm(tuple(images))
 
 

@@ -141,6 +141,11 @@ class TestDivide:
         code, out, err = run(capsys, "divide", "--in", str(dup), "--base", "a")
         assert code == 3 and out == "" and "repeated label" in err
 
+    @pytest.mark.parametrize("base", ["0", "1"])
+    def test_empty_a(self, capsys, empty_a_file, base):
+        code, out, err = run(capsys, "divide", "--in", empty_a_file, "--base", base)
+        assert code == 0 and out == "\n" and err == ""
+
 
 #: Exit code and sha256 prefix of the whole output of a division command, on
 #: a seeded non-parallel 256x7 table and a seeded 96x6 table labelled on A, B
@@ -187,6 +192,12 @@ class TestParallelize:
         empty.write_text("EQUIDIV 1\nbij nA 3 nB 3 nC 0\n")
         code, out, err = run(capsys, "parallelize", "--in", str(empty))
         assert code == 3 and out == "" and "nC" in err
+
+    def test_empty_a(self, capsys, empty_a_file):
+        code, out, err = run(capsys, "parallelize", "--in", empty_a_file)
+        assert code == 0 and err == ""
+        with open(empty_a_file) as f:
+            assert out == f.read()
 
 
 class TestStab:
